@@ -42,6 +42,14 @@ class ChernData:
             raise ValueError("c1 must be integral")
 
 
+def _integral(value: Fraction, what: str) -> int:
+    """An intersection number of integral classes is an integer; anything
+    else is a bug, reported even when assertions are compiled out."""
+    if value.denominator != 1:
+        raise InvariantBreach(f"{what} = {fmt_q(value)} is not an integer")
+    return int(value)
+
+
 def discriminant(model: SurfaceModel, e: ChernData) -> Fraction:
     """c1^2 - 4 c2; positive means Bogomolov-unstable."""
     if e.rank != 2:
@@ -56,8 +64,7 @@ def twist(model: SurfaceModel, e: ChernData, n: DivisorClass) -> ChernData:
     if not n.is_integral():
         raise ValueError("twisting class must be integral")
     c2 = e.c2 + intersect(model, e.c1, n) + self_int(model, n)
-    assert c2.denominator == 1
-    return ChernData(2, e.c1 + 2 * n, int(c2))
+    return ChernData(2, e.c1 + 2 * n, _integral(c2, "c2 of the twist"))
 
 
 def from_extension(model: SurfaceModel, a: DivisorClass, b: DivisorClass, len_z: int) -> ChernData:
@@ -67,8 +74,7 @@ def from_extension(model: SurfaceModel, a: DivisorClass, b: DivisorClass, len_z:
     if not (a.is_integral() and b.is_integral()):
         raise ValueError("extension classes must be integral")
     c2 = intersect(model, a, b) + len_z
-    assert c2.denominator == 1
-    return ChernData(2, a + b, int(c2))
+    return ChernData(2, a + b, _integral(c2, "c2 of the extension"))
 
 
 def elementary_transformation(
@@ -79,8 +85,7 @@ def elementary_transformation(
     if not c.is_integral():
         raise ValueError("curve class must be integral")
     c2 = v.c2 - intersect(model, v.c1, c) + d
-    assert c2.denominator == 1
-    return ChernData(v.rank, v.c1 - c, int(c2))
+    return ChernData(v.rank, v.c1 - c, _integral(c2, "c2 of the elementary transformation"))
 
 
 def in_positive_cone(model: SurfaceModel, alpha: DivisorClass, h: DivisorClass) -> bool:
@@ -147,8 +152,7 @@ def destabilizer_search(
         length = e.c2 - intersect(model, a, e.c1 - a)
         if length < 0:
             continue
-        assert length.denominator == 1
-        candidates.append(DestabilizerCandidate(a, int(length)))
+        candidates.append(DestabilizerCandidate(a, _integral(length, "length(Z)")))
     return DestabilizerSearchResult(
         tuple(candidates), disc, coeff_bound, inconclusive=(disc > 0 and not candidates)
     )

@@ -16,6 +16,7 @@ from .lattice import (
     effective_combinations,
     intersect,
     is_nef_on_table,
+    min_intersection,
     self_int,
 )
 from .rational import fmt_q
@@ -152,8 +153,7 @@ def numerical_global_generation(model: SurfaceModel, l: DivisorClass) -> Certifi
     ampleness.  Table-relative unless the table is declared complete."""
     report = CertificateReport(HYPOTHESES_FAIL)
     l2 = self_int(model, l)
-    values = [(intersect(model, l, c.klass), c.name) for c in model.curves]
-    min_lc, min_name = min(values, default=(None, None))
+    min_lc, min_name = min_intersection(model, l, model.curves)
     min_text = fmt_q(min_lc) if min_lc is not None else "empty table"
 
     gg = report.check("L^2 >= 5", l2, 5, l2 >= 5)
@@ -296,8 +296,7 @@ def jets_length_d(
         report.verdict = HYPOTHESES_FAIL
         return report
 
-    values = [(intersect(model, l, c.klass), c.name) for c in model.curves]
-    min_lc, min_name = min(values, default=(None, None))
+    min_lc, min_name = min_intersection(model, l, model.curves)
     sufficient = min_lc is not None and min_lc >= 2 * d
     report.check(
         f"min L.C >= {2 * d} (min at {min_name})",

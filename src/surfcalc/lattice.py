@@ -11,12 +11,13 @@ table verdicts to certificates.
 
 from __future__ import annotations
 
-import itertools
+import functools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .rational import fmt_q
+from .rational import clear_denominators, fmt_q
 
 COMPLETE_EVERYWHERE = "*"
 
@@ -34,7 +35,8 @@ class InvariantBreach(RuntimeError):
 
 
 def _as_fraction_tuple(coeffs: Iterable) -> tuple[Fraction, ...]:
-    return tuple(Fraction(c) for c in coeffs)
+    # a Fraction is immutable, so one that comes in is shared, not copied
+    return tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
 
 @dataclass(frozen=True)
@@ -49,6 +51,13 @@ class DivisorClass:
     @property
     def rank(self) -> int:
         return len(self.coeffs)
+
+    @functools.cached_property
+    def _scaled(self) -> tuple[int, list[int]]:
+        """(d, d * coeffs): a common denominator d > 0 of the coordinates
+        (the least one unless set by effective_combinations) and the integer
+        vector it clears them to."""
+        return clear_denominators(self.coeffs)
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -133,13 +142,14 @@ class IntersectionLattice:
             raise DimensionMismatch(
                 f"classes of rank {a.rank}/{b.rank} on a rank-{self.rank} lattice"
             )
-        total = Fraction(0)
-        for i, ai in enumerate(a.coeffs):
-            if ai == 0:
-                continue
-            row = self.gram[i]
-            total += ai * sum(gij * bj for gij, bj in zip(row, b.coeffs))
-        return total
+        # a.b = (da*a).(db*b) / (da*db): the Gram form runs on ints only
+        da, va = a._scaled
+        db, vb = b._scaled
+        total = 0
+        for ai, row in zip(va, self.gram):
+            if ai:
+                total += ai * sum(map(operator.mul, row, vb))
+        return Fraction(total, da * db)
 
     def inertia(self) -> tuple[int, int, int, list[tuple[DivisorClass, Fraction]]]:
         """Exact inertia (n_pos, n_neg, n_zero) of the Gram matrix.
@@ -481,6 +491,17 @@ def is_nef_on_table(model: SurfaceModel, d: DivisorClass) -> NefVerdict:
     return NefVerdict(True, None, None, model.cone_complete())
 
 
+def min_intersection(
+    model: SurfaceModel, d: DivisorClass, curves: Iterable[CurveRecord]
+) -> tuple[Fraction, str] | tuple[None, None]:
+    """(D.C, name) for the table curve C among `curves` with the smallest
+    D.C, ties going to the smaller name; (None, None) when `curves` is
+    empty."""
+    return min(
+        ((intersect(model, d, c.klass), c.name) for c in curves), default=(None, None)
+    )
+
+
 def is_big_nef_on_table(model: SurfaceModel, d: DivisorClass) -> BigNefVerdict:
     nef = is_nef_on_table(model, d)
     d2 = self_int(model, d)
@@ -593,15 +614,40 @@ def effective_combinations(
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     names = tuple(record.name for record in model.curves)
-    classes = [record.klass for record in model.curves]
-    for coeffs in itertools.product(range(coeff_bound + 1), repeat=len(names)):
-        if not any(coeffs):
-            continue
-        total = DivisorClass.zero(model.rank)
-        for n, cls in zip(coeffs, classes):
-            if n:
-                total = total + n * cls
-        yield EffectiveCombination(coeffs, total, names)
+    for record in model.curves:
+        if record.klass.rank != model.rank:
+            raise DimensionMismatch(
+                f"curve {record.name!r} has rank {record.klass.rank}, "
+                f"surface has rank {model.rank}"
+            )
+    # an odometer over the coefficient vector, last digit fastest, with the
+    # class sum(n_i C_i) kept as integers over one common denominator: a
+    # digit that goes up adds C_i, a digit that rolls over from the bound to
+    # 0 subtracts bound * C_i
+    denom, flat = clear_denominators(
+        [c for record in model.curves for c in record.klass.coeffs]
+    )
+    rank = model.rank
+    steps = [flat[i * rank:(i + 1) * rank] for i in range(len(names))]
+    rollovers = [[coeff_bound * x for x in step] for step in steps]
+    to_fraction = functools.cache(functools.partial(Fraction, denominator=denom))
+    coeffs = [0] * len(names)
+    total = [0] * rank
+    while True:
+        i = len(coeffs) - 1
+        while i >= 0 and coeffs[i] == coeff_bound:
+            coeffs[i] = 0
+            total = [t - x for t, x in zip(total, rollovers[i])]
+            i -= 1
+        if i < 0:
+            return
+        coeffs[i] += 1
+        total = [t + x for t, x in zip(total, steps[i])]
+        klass = DivisorClass(map(to_fraction, total))
+        # hand over the integer form already at hand: pair reads it from
+        # the cache and never clears this class's denominators
+        klass.__dict__["_scaled"] = (denom, total)
+        yield EffectiveCombination(tuple(coeffs), klass, names)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from .lattice import (
     intersect,
     is_big_nef_on_table,
     is_nef_on_table,
+    min_intersection,
     self_int,
 )
 from .qdivisor import QDivisor, class_of, mult_at, round_down, round_up
@@ -416,8 +417,7 @@ def _q_adjoint_check(
     ok = report.check("class of M nef on table", "yes" if nef.nef else "no", "", nef.nef)
     m2 = self_int(model, klass)
     ok = report.check(f"M^2 > {sq_threshold}", m2, sq_threshold, m2 > sq_threshold) and ok
-    values = [(intersect(model, klass, c.klass), c.name) for c in model.curves]
-    min_mc, min_name = min(values, default=(None, None))
+    min_mc, min_name = min_intersection(model, klass, model.curves)
     ok = (
         report.check(
             f"min M.C >= {degree_threshold} (min at {min_name})",
@@ -602,8 +602,7 @@ def singularity_production_check(
     else:
         relevant = [c for c in model.curves if c.mult_at(point) > 0]
         label = f"curves through {point!r}"
-    values = [(intersect(model, l, c.klass), c.name) for c in relevant]
-    min_lc, min_name = min(values, default=(None, None))
+    min_lc, min_name = min_intersection(model, l, relevant)
     have_curves = min_lc is not None
     ok = (
         report.check(

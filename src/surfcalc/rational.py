@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from typing import Sequence
 
 RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -51,3 +52,20 @@ def parse_q(s: str) -> Fraction:
 
 def is_integer(x: Fraction | int) -> bool:
     return Fraction(x).denominator == 1
+
+
+def _gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def clear_denominators(values: Sequence[Fraction | int]) -> tuple[int, list[int]]:
+    """(d, [d*x for x in values]) with d > 0 the least common denominator of
+    the rationals in `values`; the scaled entries are ints."""
+    d = 1
+    for x in values:
+        q = x.denominator
+        if d % q:
+            d = d // _gcd(d, q) * q
+    return d, [x.numerator * (d // x.denominator) for x in values]

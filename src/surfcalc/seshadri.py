@@ -12,6 +12,7 @@ never certifies by itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -58,13 +59,13 @@ def _minimize(candidates) -> tuple[Fraction, str, tuple, bool] | None:
 def _bound_from_table(
     model: SurfaceModel,
     l: DivisorClass,
-    mult_of,                 # combination -> total multiplicity (int)
+    curve_mults: Sequence[int],     # multiplicity of each table curve, table order
     covered: bool,
     coeff_bound: int,
 ) -> SeshadriBound:
     candidates = []
     for combo in effective_combinations(model, coeff_bound) if model.curves else ():
-        mult = mult_of(combo)
+        mult = sum(map(operator.mul, combo.coefficients, curve_mults))
         if mult <= 0:
             continue
         ratio = Fraction(intersect(model, l, combo.klass), mult)
@@ -93,7 +94,7 @@ def seshadri_at_point(
     return _bound_from_table(
         model,
         l,
-        lambda combo: combo.mult_at(model, point),
+        [record.mult_at(point) for record in model.curves],
         model.covers_point(point),
         coeff_bound,
     )
@@ -115,7 +116,7 @@ def multipoint_seshadri(
     bound = _bound_from_table(
         model,
         l,
-        lambda combo: sum(combo.mult_at(model, p) for p in points),
+        [sum(record.mult_at(p) for p in points) for record in model.curves],
         covered,
         coeff_bound,
     )

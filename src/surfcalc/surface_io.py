@@ -13,6 +13,12 @@ in reports and Q-divisor literals, serialized "p/q"):
       "complete_through": [str]?          # "*" = generates the whole cone
     }
 
+Every field type is enforced: a name is a JSON string, `ordinary` a
+boolean, `genus` an integer (not a boolean), each curve entry an object
+and `complete_through` a list of strings.  A key marked ? may be left out;
+when present it must have its type (null is not accepted).  Anything else
+raises SurfaceFormatError.
+
 Resolution schema:
 
     {"kind": "resolution", "name": str,
@@ -33,10 +39,19 @@ class SurfaceFormatError(ValueError):
     """Input file does not match the documented schema."""
 
 
-def _expect_int(value, where: str) -> int:
-    if type(value) is not int:
-        raise SurfaceFormatError(f"{where}: expected an integer, got {value!r}")
+_JSON_TYPES = {str: "a string", bool: "true or false", int: "an integer",
+               dict: "an object", list: "a list"}
+
+
+def _expect_type(value, kind: type, where: str):
+    # type(...) is, not isinstance: JSON true and false are not integers here
+    if type(value) is not kind:
+        raise SurfaceFormatError(f"{where}: expected {_JSON_TYPES[kind]}, got {value!r}")
     return value
+
+
+def _expect_int(value, where: str) -> int:
+    return _expect_type(value, int, where)
 
 
 def _expect_int_list(value, where: str) -> list[int]:
@@ -60,7 +75,7 @@ def surface_from_dict(data: dict) -> SurfaceModel:
     if data.get("kind", "surface") != "surface":
         raise SurfaceFormatError(f"not a surface file (kind = {data.get('kind')!r})")
     try:
-        name = data["name"]
+        name = _expect_type(data["name"], str, "name")
         rank = _expect_int(data["rank"], "rank")
         gram = data["gram"]
         canonical = _expect_int_list(data["canonical"], "canonical")
@@ -70,24 +85,16 @@ def surface_from_dict(data: dict) -> SurfaceModel:
     if not isinstance(gram, list) or len(gram) != rank:
         raise SurfaceFormatError("gram must be a rank x rank matrix")
     gram_rows = [_expect_int_list(row, "gram row") for row in gram]
-    curves = []
-    for entry in data.get("curves", []):
-        unknown = set(entry) - _CURVE_KEYS
-        if unknown:
-            raise SurfaceFormatError(f"unknown curve keys: {sorted(unknown)}")
-        mults = entry.get("mults", {})
-        if not isinstance(mults, dict):
-            raise SurfaceFormatError("curve mults must be an object")
-        curves.append(
-            CurveRecord(
-                entry["name"],
-                DivisorClass(_expect_int_list(entry["class"], f"curve {entry.get('name')}")),
-                {label: _expect_int(m, "mult") for label, m in mults.items()},
-                entry.get("genus"),
-                entry.get("ordinary", True),
-            )
-        )
-    complete = data.get("complete_through")
+    curves = [
+        _curve_from_dict(entry, i)
+        for i, entry in enumerate(_expect_type(data.get("curves", []), list, "curves"))
+    ]
+    complete = None
+    if "complete_through" in data:
+        complete = [
+            _expect_type(label, str, "complete_through entry")
+            for label in _expect_type(data["complete_through"], list, "complete_through")
+        ]
     return SurfaceModel(
         name=name,
         lattice=IntersectionLattice(gram_rows),
@@ -95,6 +102,30 @@ def surface_from_dict(data: dict) -> SurfaceModel:
         chi_O=chi,
         curves=curves,
         complete_through=complete,
+    )
+
+
+def _curve_from_dict(entry, index: int) -> CurveRecord:
+    where = f"curve {index}"
+    _expect_type(entry, dict, where)
+    unknown = set(entry) - _CURVE_KEYS
+    if unknown:
+        raise SurfaceFormatError(f"unknown curve keys: {sorted(unknown)}")
+    for key in ("name", "class"):
+        if key not in entry:
+            raise SurfaceFormatError(f"{where}: missing required key {key!r}")
+    name = _expect_type(entry["name"], str, f"{where} name")
+    where = f"curve {name}"
+    mults = _expect_type(entry.get("mults", {}), dict, f"{where} mults")
+    genus = entry.get("genus")
+    if "genus" in entry:
+        _expect_int(genus, f"{where} genus")
+    return CurveRecord(
+        name,
+        DivisorClass(_expect_int_list(entry["class"], where)),
+        {label: _expect_int(m, "mult") for label, m in mults.items()},
+        genus,
+        _expect_type(entry.get("ordinary", True), bool, f"{where} ordinary"),
     )
 
 

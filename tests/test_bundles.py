@@ -1,10 +1,14 @@
+import ast
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import surfcalc
 from surfcalc import (
     ChernData,
+    InvariantBreach,
     DivisorClass,
     brill_noether_rho,
     destabilizer_search,
@@ -57,6 +61,28 @@ def test_twist_invariance_random(p1xp1, blp2, k3, abelian):
         e = ChernData(2, c1, rng.randint(-10, 10))
         n = DivisorClass([rng.randint(-5, 5) for _ in range(model.rank)])
         assert discriminant(model, twist(model, e, n)) == discriminant(model, e)
+
+
+def test_fractional_c2_is_an_invariant_breach():
+    # a half-integral Gram matrix fails validation; used anyway, it makes
+    # c2 fractional, which must raise even under python -O
+    half = diag_surface([Fraction(1, 2)], [1], name="half")
+    e = ChernData(2, DivisorClass([1]), 1)
+    one = DivisorClass([1])
+    with pytest.raises(InvariantBreach, match="c2 of the twist"):
+        twist(half, ChernData(2, DivisorClass([2]), 1), one)
+    with pytest.raises(InvariantBreach, match="c2 of the extension"):
+        from_extension(half, one, one, 0)
+    with pytest.raises(InvariantBreach, match="elementary transformation"):
+        elementary_transformation(half, e, one, 0)
+
+
+def test_no_assert_statements_in_package():
+    package_root = pathlib.Path(surfcalc.__file__).parent
+    for source in sorted(package_root.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{source.name}: assert on lines {lines}"
 
 
 def test_from_extension_examples(p2, p1xp1):

@@ -22,6 +22,8 @@ from surfcalc import (
     validate_surface,
 )
 
+from surfcalc.lattice import min_intersection
+
 from conftest import diag_surface
 
 
@@ -209,6 +211,15 @@ def test_nef_certified_flag(p1xp1):
     assert is_nef_on_table(p1xp1, DivisorClass([1, 1])).certified
     open_model = diag_surface([1, -1], [-3, 1], name="open")
     assert not is_nef_on_table(open_model, DivisorClass([1, 0])).certified
+
+
+def test_min_intersection_ties_go_to_smaller_name(p1xp1):
+    # p1xp1's two rulings both meet (1, 1) once
+    l = DivisorClass([1, 1])
+    assert min_intersection(p1xp1, l, p1xp1.curves) == (1, min(c.name for c in p1xp1.curves))
+    assert min_intersection(p1xp1, l, reversed(p1xp1.curves)) == min_intersection(
+        p1xp1, l, p1xp1.curves)
+    assert min_intersection(p1xp1, l, []) == (None, None)
 
 
 def test_big_nef_examples(p1xp1, p2):

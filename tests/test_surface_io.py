@@ -1,0 +1,63 @@
+import json
+
+import pytest
+
+from surfcalc import fixture_path, validate_surface
+from surfcalc.cli import main
+from surfcalc.surface_io import SurfaceFormatError, surface_from_dict
+
+
+def blp2_data():
+    return json.loads(fixture_path("blp2").read_text())
+
+
+def with_curve(data, **fields):
+    data["curves"][0].update(fields)
+    return data
+
+
+# each malformed surface and the field its error message must name
+MALFORMED = {
+    "complete-through-string": (lambda d: dict(d, complete_through="x*"), "complete_through"),
+    "complete-through-null": (lambda d: dict(d, complete_through=None), "complete_through"),
+    "complete-through-entry": (lambda d: dict(d, complete_through=["*", 1]),
+                               "complete_through entry"),
+    "surface-name": (lambda d: dict(d, name=["blp2"]), "name"),
+    "curves-not-list": (lambda d: dict(d, curves={"E": [0, 1]}), "curves"),
+    "curve-not-object": (lambda d: dict(d, curves=["E"] + d["curves"][1:]), "curve 0"),
+    "curve-name": (lambda d: with_curve(d, name=7), "curve 0 name"),
+    "curve-missing-class": (lambda d: dict(d, curves=[{"name": "E"}]), "'class'"),
+    "ordinary-string": (lambda d: with_curve(d, ordinary="no"), "curve E ordinary"),
+    "ordinary-int": (lambda d: with_curve(d, ordinary=0), "curve E ordinary"),
+    "genus-string": (lambda d: with_curve(d, genus="0"), "curve E genus"),
+    "genus-bool": (lambda d: with_curve(d, genus=False), "curve E genus"),
+    "genus-null": (lambda d: with_curve(d, genus=None), "curve E genus"),
+}
+
+
+def test_well_formed_fixture_parses():
+    model = surface_from_dict(blp2_data())
+    assert validate_surface(model).ok
+    assert model.complete_through == ("*", "x")
+    assert [c.ordinary for c in model.curves] == [True, True]
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_field_types_are_enforced(case):
+    mutate, field = MALFORMED[case]
+    with pytest.raises(SurfaceFormatError) as err:
+        surface_from_dict(mutate(blp2_data()))
+    assert field in str(err.value)
+
+
+@pytest.mark.parametrize("case", ["complete-through-string", "ordinary-string",
+                                  "curve-name", "genus-string"])
+def test_cli_rejects_malformed_fields_with_exit_2(case, tmp_path, capsys):
+    mutate, field = MALFORMED[case]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(blp2_data())))
+    # a string complete_through used to declare completeness at "*" and
+    # turn an inconclusive verdict into criterion-holds
+    assert main(["reider", str(path), "--line-bundle", "3,-1"]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
