@@ -10,6 +10,7 @@ existence of a destabilizing sub-line-bundle.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -132,6 +133,16 @@ def destabilizer_search(
     effective.  When the discriminant is positive and the scan comes back
     empty, existence is still guaranteed, so the result is flagged
     inconclusive rather than read as stability evidence.
+
+    The scan runs on ints.  With the integer vectors G.c1 and G.h, where
+    h is H cleared of denominators (a positive multiple of H, so every
+    sign is kept), each class A costs three dot products:
+
+        (2A - c1)^2 = 4(A^2 - A.c1) + c1^2,   (2A - c1).h = 2 A.h - c1.h,
+        length(Z) = c2 - A.c1 + A^2,
+
+    and a DivisorClass is built only for a candidate.  The checks before
+    the scan also reject a c1 or H of the wrong rank (DimensionMismatch).
     """
     if e.rank != 2:
         raise ValueError("destabilizer search needs rank-2 data")
@@ -143,16 +154,27 @@ def destabilizer_search(
         raise ValueError("reference class H is not even nef on the table")
 
     disc = discriminant(model, e)
+    gram = model.lattice.gram
+    c1 = [x.numerator for x in e.c1.coeffs]     # c1 is integral
+    _, h_int = h._scaled
+    g_c1 = [sum(map(operator.mul, row, c1)) for row in gram]
+    g_h = [sum(map(operator.mul, row, h_int)) for row in gram]
+    c1_c1 = sum(map(operator.mul, c1, g_c1))
+    c1_h = sum(map(operator.mul, c1, g_h))
     candidates = []
     for coeffs in itertools.product(range(-coeff_bound, coeff_bound + 1), repeat=model.rank):
-        a = DivisorClass(coeffs)
-        diff = 2 * a - e.c1
-        if not in_positive_cone(model, diff, h):
+        if 2 * sum(map(operator.mul, coeffs, g_h)) <= c1_h:
             continue
-        length = e.c2 - intersect(model, a, e.c1 - a)
+        a_c1 = sum(map(operator.mul, coeffs, g_c1))
+        a_a = sum(a * sum(map(operator.mul, row, coeffs)) for a, row in zip(coeffs, gram) if a)
+        if 4 * (a_a - a_c1) + c1_c1 <= 0:
+            continue
+        length = e.c2 - a_c1 + a_a
         if length < 0:
             continue
-        candidates.append(DestabilizerCandidate(a, _integral(length, "length(Z)")))
+        candidates.append(
+            DestabilizerCandidate(DivisorClass(coeffs), _integral(length, "length(Z)"))
+        )
     return DestabilizerSearchResult(
         tuple(candidates), disc, coeff_bound, inconclusive=(disc > 0 and not candidates)
     )

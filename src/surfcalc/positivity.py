@@ -10,15 +10,17 @@ floating point is allowed anywhere.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .lattice import (
     BigNefVerdict,
+    CurveRecord,
     DivisorClass,
-    IntersectionLattice,
     InvariantBreach,
+    NonIntegralDivisor,
     SurfaceModel,
     intersect,
     is_big_nef_on_table,
@@ -27,7 +29,7 @@ from .lattice import (
     self_int,
 )
 from .qdivisor import QDivisor, class_of, mult_at, round_down, round_up
-from .rational import fmt_q, next_integer_above
+from .rational import clear_denominators, fmt_q, next_integer_above
 from .report import (
     HOLDS,
     HYPOTHESES_FAIL,
@@ -42,29 +44,75 @@ class NotPseudoeffective(ValueError):
     the curve table."""
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Gaussian elimination; exact."""
+def _fraction_free_pivots(m: list[list[int]], swap_rows: bool) -> Iterator[int]:
+    """Fraction-free (Bareiss) forward elimination of the square integer
+    block of the rows m, in place; a row may carry extra columns (a
+    right-hand side) that are eliminated along with it.
+
+    Yields the pivot of each column before clearing the column below it
+    and stops after a zero pivot.  Step k replaces row i > k by
+    (p_k * row_i - m[i][k] * row_k) / p_{k-1}, a division that is exact
+    because every entry is a minor of the input (Sylvester's identity), so
+    all entries stay ints.  Without row swaps the k-th pivot is the
+    leading principal minor of order k + 1.  With `swap_rows` a zero
+    pivot is first replaced by a lower row that is nonzero in its column,
+    and a zero pivot is only yielded when the block is singular.
+    """
+    n = len(m)
+    previous = 1
+    for k in range(n):
+        if swap_rows and m[k][k] == 0:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is not None:
+                m[k], m[r] = m[r], m[k]
+        pivot = m[k][k]
+        yield pivot
+        if pivot == 0:
+            return
+        tail = m[k][k + 1:]
+        for row in m[k + 1:]:
+            factor = row[k]
+            row[k + 1:] = [
+                (pivot * x - factor * y) // previous for x, y in zip(row[k + 1:], tail)
+            ]
+        previous = pivot
+
+
+def solve_exact(
+    matrix: Sequence[Sequence[Fraction | int]], rhs: Sequence[Fraction | int]
+) -> list[Fraction]:
+    """Solve a square system with int or Fraction entries; exact.
+
+    Each row of the augmented matrix is scaled to integers by its least
+    common denominator (the solution does not change), eliminated
+    fraction-free with row swaps, and solved by one back-substitution in
+    Fractions.  Raises ValueError("singular system") when the matrix is
+    singular."""
     n = len(rhs)
-    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pivot is None:
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError(f"need an {n} x {n} matrix for {n} right-hand sides")
+    m = [clear_denominators([*row, b])[1] for row, b in zip(matrix, rhs)]
+    for pivot in _fraction_free_pivots(m, swap_rows=True):
+        if pivot == 0:
             raise ValueError("singular system")
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for r in range(n):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
-    return [m[i][n] for i in range(n)]
+    solution = [Fraction(0)] * n
+    for i in reversed(range(n)):
+        row = m[i]
+        value = Fraction(row[n])
+        for j in range(i + 1, n):
+            if row[j]:
+                value -= row[j] * solution[j]
+        solution[i] = value / row[i]
+    return solution
 
 
-def _is_negative_definite(gram: Sequence[Sequence[int]]) -> bool:
-    if not gram:
-        return True
-    n_pos, n_neg, n_zero, _ = IntersectionLattice(gram).inertia()
-    return n_pos == 0 and n_zero == 0
+def _is_negative_definite(gram: Sequence[Sequence[Fraction | int]]) -> bool:
+    """Sylvester's criterion: every leading principal minor of -G is
+    positive.  The minors are the pivots of fraction-free elimination
+    without row swaps on -G, each row first cleared to integers; scaling a
+    row by a positive number keeps the sign of every minor."""
+    m = [[-x for x in clear_denominators(row)[1]] for row in gram]
+    return all(pivot > 0 for pivot in _fraction_free_pivots(m, swap_rows=False))
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +315,16 @@ class ZariskiDecomposition:
         return total
 
 
+def _table_product(model: SurfaceModel, a: CurveRecord, b: CurveRecord) -> int:
+    """A.B for two table curves, which must be an integer."""
+    value = intersect(model, a.klass, b.klass)
+    if value.denominator != 1:
+        raise NonIntegralDivisor(
+            f"table curves {a.name} and {b.name} meet in {fmt_q(value)}, not an integer"
+        )
+    return value.numerator
+
+
 def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposition:
     """D = P + N with P nef on the table, N an effective combination of
     table curves with negative-definite Gram, and P orthogonal to every
@@ -285,17 +343,14 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
     coeffs: list[Fraction] = []
     for _ in range(len(table) + 1):
         if support:
-            sub = [
-                [int(intersect(model, table[i].klass, table[j].klass)) for j in support]
-                for i in support
-            ]
+            sub = [[_table_product(model, table[i], table[j]) for j in support] for i in support]
             if not _is_negative_definite(sub):
                 raise NotPseudoeffective(
                     "not pseudoeffective relative to the table: support set "
                     f"{[table[i].name for i in support]} has indefinite Gram matrix"
                 )
             rhs = [intersect(model, d, table[i].klass) for i in support]
-            coeffs = solve_exact([[Fraction(x) for x in row] for row in sub], rhs)
+            coeffs = solve_exact(sub, rhs)
         residual = d
         for idx, c in zip(support, coeffs):
             residual = residual - c * table[idx].klass
@@ -369,13 +424,7 @@ def mumford_pullback(res: ResolutionData, divisor_name: str) -> list[Fraction]:
     negative definiteness."""
     if divisor_name not in res.incidence:
         raise KeyError(f"no divisor named {divisor_name!r} in resolution data")
-    inc = res.incidence[divisor_name]
-    if res.size == 0:
-        return []
-    return solve_exact(
-        [[Fraction(x) for x in row] for row in res.exceptional_gram],
-        [Fraction(-x) for x in inc],
-    )
+    return solve_exact(res.exceptional_gram, [-x for x in res.incidence[divisor_name]])
 
 
 def mumford_intersect(
@@ -383,21 +432,20 @@ def mumford_intersect(
 ) -> Fraction:
     """Mumford product D1.D2 = (D1' + Delta1).(D2' + Delta2), expanded from
     the proper transforms' intersection, the incidences and the Gram
-    matrix."""
-    delta1 = mumford_pullback(res, name1)
-    delta2 = mumford_pullback(res, name2)
+    matrix.  With Delta_i = v_i / d_i cleared to integers,
+
+        D1.D2 = base + (d1 inc1.v2 + d2 inc2.v1 + v1.G.v2) / (d1 d2),
+
+    where the numerator runs on ints."""
+    d1, v1 = clear_denominators(mumford_pullback(res, name1))
+    d2, v2 = clear_denominators(mumford_pullback(res, name2))
     inc1 = res.incidence[name1]
     inc2 = res.incidence[name2]
-    total = Fraction(base_intersection)
-    total += sum((Fraction(a) * b for a, b in zip(inc1, delta2)), Fraction(0))
-    total += sum((Fraction(a) * b for a, b in zip(inc2, delta1)), Fraction(0))
-    for i, di in enumerate(delta1):
-        if di:
-            total += di * sum(
-                (Fraction(res.exceptional_gram[i][j]) * dj for j, dj in enumerate(delta2)),
-                Fraction(0),
-            )
-    return total
+    total = d1 * sum(map(operator.mul, inc1, v2)) + d2 * sum(map(operator.mul, inc2, v1))
+    for x, row in zip(v1, res.exceptional_gram):
+        if x:
+            total += x * sum(map(operator.mul, row, v2))
+    return Fraction(base_intersection) + Fraction(total, d1 * d2)
 
 
 # ---------------------------------------------------------------------------

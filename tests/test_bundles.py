@@ -8,12 +8,14 @@ import pytest
 import surfcalc
 from surfcalc import (
     ChernData,
+    DimensionMismatch,
     InvariantBreach,
     DivisorClass,
     brill_noether_rho,
     destabilizer_search,
     discriminant,
     elementary_transformation,
+    fixture_path,
     from_extension,
     gonality_bound,
     intersect,
@@ -22,6 +24,7 @@ from surfcalc import (
     self_int,
     twist,
 )
+from surfcalc.cli import main
 
 from conftest import diag_surface
 
@@ -164,6 +167,30 @@ def test_destabilizer_search_checks_reference_class(rank1_five, p1xp1):
                             DivisorClass([1, 0]), 2)  # H^2 = 0
     with pytest.raises(ValueError):
         destabilizer_search(rank1_five, e, DivisorClass([-1]), 2)
+
+
+def test_destabilizer_search_rejects_wrong_rank(p1xp1):
+    # the integer kernel zips c1 and H against the Gram rows, so the checks
+    # in front of it must reject a class of the wrong rank
+    h = DivisorClass([1, 1])
+    with pytest.raises(DimensionMismatch):
+        destabilizer_search(p1xp1, ChernData(2, DivisorClass([1]), 0), h, 2)
+    with pytest.raises(DimensionMismatch):
+        destabilizer_search(p1xp1, ChernData(2, DivisorClass([1, 1, 0]), 0), h, 2)
+    e = ChernData(2, DivisorClass([1, 1]), 0)
+    with pytest.raises(DimensionMismatch):
+        destabilizer_search(p1xp1, e, DivisorClass([1]), 2)
+    with pytest.raises(DimensionMismatch):
+        destabilizer_search(p1xp1, e, DivisorClass([1, 1, 1]), 2)
+
+
+@pytest.mark.parametrize("c1, ample", [("1,0,0", "1,1"), ("1", "1,1"), ("1,1", "1")])
+def test_cli_destabilize_wrong_rank_exits_2(capsys, c1, ample):
+    code = main(["bundle", "--surface", str(fixture_path("p1xp1")), "--c1", c1, "--c2", "0",
+                 "--destabilize", "--ample", ample])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "rank" in captured.err and "Traceback" not in captured.err
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,8 @@
-"""Differential tests of the table-search hot path against plain Fraction
+"""Differential tests of the integer hot paths against plain Fraction
 references kept here: the Gram pairing, the enumeration of table
-combinations and the Seshadri minimum built on them."""
+combinations and the Seshadri minimum built on them, the destabilizer
+scan, solve_exact, the negative-definiteness test and the Mumford
+product."""
 
 import itertools
 import random
@@ -9,16 +11,25 @@ from fractions import Fraction
 import pytest
 
 from surfcalc import (
+    ChernData,
     CurveRecord,
     DivisorClass,
+    IntersectionLattice,
     SeshadriBound,
+    SurfaceModel,
+    destabilizer_search,
     fixture_catalog,
+    in_positive_cone,
+    intersect,
     load_fixture,
     miranda_example,
     multipoint_seshadri,
+    mumford_intersect,
+    mumford_pullback,
     seshadri_at_point,
 )
 from surfcalc.lattice import effective_combinations
+from surfcalc.positivity import _is_negative_definite, make_resolution, solve_exact
 
 from conftest import diag_surface
 
@@ -169,3 +180,211 @@ def test_seshadri_matches_brute_force(seed):
         assert got == reference_seshadri(model, l, [point], bound), point
     got = _summary(multipoint_seshadri(model, l, ["x", "y"], bound))
     assert got == reference_seshadri(model, l, ["x", "y"], bound)
+
+
+# ---------------------------------------------------------------------------
+# lattice-solve kernels: the destabilizer scan, solve_exact, the
+# negative-definiteness test and the Mumford product
+
+
+def reference_destabilizers(model, e, h, bound):
+    """(class, length(Z)) of every candidate, by the Fraction loop over
+    in_positive_cone and intersect, in itertools.product order."""
+    out = []
+    for coeffs in itertools.product(range(-bound, bound + 1), repeat=model.rank):
+        a = DivisorClass(coeffs)
+        if not in_positive_cone(model, 2 * a - e.c1, h):
+            continue
+        length = e.c2 - intersect(model, a, e.c1 - a)
+        if length >= 0:
+            out.append((a, length))
+    return out
+
+
+def random_symmetric(rng, n, low=-3, high=3):
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = rng.randint(low, high)
+    return gram
+
+
+def destabilizer_case(seed):
+    """A rank 1-4 lattice with a positive first basis vector, a reference
+    class H with H^2 > 0 (rational for every third seed), random c1, c2 and
+    a bound that keeps the Fraction reference fast."""
+    rng = random.Random(f"destabilizer:{seed}")
+    rank = 1 + seed % 4
+    gram = random_symmetric(rng, rank)
+    gram[0][0] = rng.randint(1, 5)
+    model = SurfaceModel(f"destab{seed}", IntersectionLattice(gram),
+                         DivisorClass([0] * rank), 1)
+    while True:
+        h = [rng.randint(1, 4)] + [rng.randint(-2, 2) for _ in range(rank - 1)]
+        if seed % 3 == 2:
+            h = [Fraction(x, rng.randint(1, 7)) for x in h]
+        h = DivisorClass(h)
+        if intersect(model, h, h) > 0:
+            break
+    e = ChernData(2, DivisorClass(rng.randint(-3, 3) for _ in range(rank)), rng.randint(-4, 6))
+    bound = rng.randint(1, (6, 6, 4, 3)[rank - 1])
+    return model, e, h, bound
+
+
+DESTABILIZER_CASES = range(24)
+
+
+def test_destabilizer_cases_cover_ranks_bounds_and_rational_h():
+    cases = [destabilizer_case(seed) for seed in DESTABILIZER_CASES]
+    assert {model.rank for model, *_ in cases} == {1, 2, 3, 4}
+    assert {bound for *_, bound in cases} >= {1, 6}
+    assert any(not h.is_integral() for _, _, h, _ in cases)
+
+
+@pytest.mark.parametrize("seed", DESTABILIZER_CASES)
+def test_destabilizer_search_matches_fraction_loop(seed):
+    model, e, h, bound = destabilizer_case(seed)
+    result = destabilizer_search(model, e, h, bound)
+    got = [(c.klass, c.length_z) for c in result.candidates]
+    assert got == reference_destabilizers(model, e, h, bound)
+    assert type(result.discriminant) is Fraction
+    for cand in result.candidates:
+        assert type(cand.length_z) is int
+        assert all(type(x) is Fraction for x in cand.klass.coeffs)
+    assert result.inconclusive == (result.discriminant > 0 and not got)
+
+
+def reference_solve(matrix, rhs):
+    """The Fraction Gauss-Jordan elimination with partial pivot search."""
+    n = len(rhs)
+    m = [[Fraction(x) for x in row] + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot is None:
+            raise ValueError("singular system")
+        m[col], m[pivot] = m[pivot], m[col]
+        inv = 1 / m[col][col]
+        m[col] = [x * inv for x in m[col]]
+        for r in range(n):
+            if r != col and m[r][col] != 0:
+                factor = m[r][col]
+                m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return [m[i][n] for i in range(n)]
+
+
+def random_rational(rng, rational):
+    if rational and rng.random() < 0.5:
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+    return rng.randint(-4, 4)
+
+
+def solve_cases():
+    rng = random.Random("solve")
+    cases = [([], []), ([[0, 1], [1, 0]], [3, Fraction(1, 2)]),
+             ([[0, 2, 1], [0, 1, 5], [3, 0, 0]], [1, 2, 3]),
+             ([[1, 2], [2, 4]], [1, 2]), ([[0, 0], [0, 1]], [0, 1]),
+             ([[Fraction(1, 3), Fraction(2, 3)], [Fraction(1, 2), 1]], [1, 1])]
+    for k in range(40):
+        n = rng.randint(1, 6)
+        matrix = [[random_rational(rng, k % 2) for _ in range(n)] for _ in range(n)]
+        if k % 5 == 4:
+            # a repeated row makes the system singular
+            matrix[-1] = list(matrix[0])
+        cases.append((matrix, [random_rational(rng, k % 2) for _ in range(n)]))
+    return cases
+
+
+def test_solve_exact_matches_gauss_jordan():
+    singular = 0
+    for matrix, rhs in solve_cases():
+        try:
+            want = reference_solve(matrix, rhs)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="singular system"):
+                solve_exact(matrix, rhs)
+            continue
+        got = solve_exact(matrix, rhs)
+        assert got == want
+        assert all(type(x) is Fraction for x in got)
+    assert singular >= 8
+    assert solve_exact([], []) == []
+    # zip would drop a surplus row or column silently
+    for matrix, rhs in (([[1, 0], [0, 1], [1, 1]], [1, 1]), ([[1, 0, 0], [0, 1, 0]], [1, 1])):
+        with pytest.raises(ValueError, match="matrix"):
+            solve_exact(matrix, rhs)
+
+
+def negative_definite_cases():
+    """Symmetric matrices -(U^T D U) with U unit upper triangular, whose
+    inertia is that of -D: definite, semidefinite and indefinite; random
+    symmetric matrices; zero leading minors; and Fraction-valued Grams."""
+    rng = random.Random("definite")
+    cases = [[], [[0]], [[-1]], [[1]], [[0, 1], [1, -2]], [[0, 0], [0, -1]],
+             [[-1, 1, 0], [1, -1, 0], [0, 0, -1]], [[-2, 1], [1, -2]],
+             [[Fraction(-1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(-1, 2)]],
+             [[Fraction(-1, 2), 1], [1, Fraction(-1, 2)]]]
+    for k in range(60):
+        n = rng.randint(1, 6)
+        diagonal = [rng.randint(1, 3) for _ in range(n)]
+        if k % 3 == 1:
+            diagonal[rng.randrange(n)] = 0
+        elif k % 3 == 2:
+            diagonal[rng.randrange(n)] *= -1
+        upper = [[1 if i == j else (rng.randint(-2, 2) if j > i else 0) for j in range(n)]
+                 for i in range(n)]
+        gram = [[-sum(upper[t][i] * diagonal[t] * upper[t][j] for t in range(n))
+                 for j in range(n)] for i in range(n)]
+        if k % 4 == 3:
+            scale = Fraction(rng.randint(1, 5), rng.randint(2, 7))
+            gram = [[scale * x for x in row] for row in gram]
+        cases.append(gram)
+        cases.append(random_symmetric(rng, n))
+    return cases
+
+
+def test_negative_definite_matches_inertia():
+    verdicts = set()
+    for gram in negative_definite_cases():
+        got = _is_negative_definite(gram)
+        assert type(got) is bool
+        if gram:
+            n_pos, _, n_zero, _ = IntersectionLattice(gram).inertia()
+            want = n_pos == 0 and n_zero == 0
+        else:
+            want = True
+        assert got == want, gram
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def reference_mumford(res, name1, name2, base):
+    """D1.D2 expanded in Fractions from Deltas solved by Gauss-Jordan."""
+    def delta(name):
+        return reference_solve(res.exceptional_gram, [-x for x in res.incidence[name]])
+
+    delta1, delta2 = delta(name1), delta(name2)
+    total = Fraction(base)
+    total += sum(Fraction(a) * b for a, b in zip(res.incidence[name1], delta2))
+    total += sum(Fraction(a) * b for a, b in zip(res.incidence[name2], delta1))
+    for i, di in enumerate(delta1):
+        total += di * sum(res.exceptional_gram[i][j] * dj for j, dj in enumerate(delta2))
+    return total
+
+
+def test_mumford_intersect_matches_fraction_expansion():
+    rng = random.Random("mumford")
+    grams = [gram for gram in negative_definite_cases() if gram and _is_negative_definite(gram)]
+    grams += [[[-2 if i == j else int(abs(i - j) == 1) for j in range(n)] for i in range(n)]
+              for n in (4, 12, 20)]
+    for gram in grams:
+        n = len(gram)
+        res = make_resolution(gram, {"A": [rng.randint(0, 2) for _ in range(n)],
+                                     "B": [rng.randint(-1, 3) for _ in range(n)]})
+        base = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        for pair in (("A", "B"), ("B", "A"), ("A", "A")):
+            got = mumford_intersect(res, *pair, base)
+            assert type(got) is Fraction
+            assert got == reference_mumford(res, *pair, base)
+            delta = mumford_pullback(res, pair[0])
+            assert all(type(x) is Fraction for x in delta)

@@ -6,6 +6,7 @@ import pytest
 from surfcalc import (
     CurveRecord,
     DivisorClass,
+    NonIntegralDivisor,
     NotPseudoeffective,
     PrimeComponent,
     QDivisor,
@@ -168,6 +169,27 @@ def test_zariski_abort_on_indefinite_support():
     )
     with pytest.raises(NotPseudoeffective):
         zariski_decompose(model, DivisorClass([-1, 0]))
+
+
+def test_zariski_rejects_non_integral_table_gram():
+    # C = (0, 3/2) on diag(1, -1): C^2 = -9/4 used to be truncated to -2,
+    # which returned P = (1, -1/4) with P.C = 3/8, not orthogonal to N
+    model = diag_surface(
+        [1, -1], [-3, 1],
+        curves=[CurveRecord("C", DivisorClass([0, Fraction(3, 2)]), {}, genus=None)],
+        name="unvalidated",
+    )
+    with pytest.raises(NonIntegralDivisor, match="-9/4"):
+        zariski_decompose(model, DivisorClass([1, 2]))
+    # the integral curve (0, 1) with D = (1, 2) decomposes as P = (1, 0), N = 2C
+    model = diag_surface(
+        [1, -1], [-3, 1],
+        curves=[CurveRecord("C", DivisorClass([0, 1]), {}, genus=None)],
+        name="integral",
+    )
+    z = zariski_decompose(model, DivisorClass([1, 2]))
+    assert z.positive_part == DivisorClass([1, 0])
+    assert z.negative_part == (("C", Fraction(2)),)
 
 
 def random_zariski_fixture(rng):
