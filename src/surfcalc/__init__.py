@@ -9,7 +9,6 @@ Q-intersections, and effective global-generation thresholds.
 
 from .lattice import (
     CheckResult,
-    Constraint,
     CurveRecord,
     DimensionMismatch,
     DivisorClass,
@@ -19,15 +18,12 @@ from .lattice import (
     NonIntegralDivisor,
     SurfaceModel,
     ValidationReport,
-    dot_constraint,
-    enumerate_effective_classes,
     euler_characteristic,
     hodge_index_check,
     intersect,
     is_big_nef_on_table,
     is_nef_on_table,
     self_int,
-    self_int_constraint,
     validate_surface,
 )
 from .qdivisor import (

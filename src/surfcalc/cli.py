@@ -34,7 +34,6 @@ from .positivity import (
     matsusaka_thresholds,
     mumford_intersect,
     mumford_pullback,
-    make_resolution,
     qdivisor_generation_check,
     qdivisor_very_ample_check,
     zariski_decompose,
@@ -43,7 +42,13 @@ from .qdivisor import parse_qdivisor, table_namespace
 from .rational import fmt_q, parse_q
 from .report import EXIT_CODES, CertificateReport
 from .seshadri import jets_from_seshadri, multipoint_seshadri, seshadri_at_point
-from .surface_io import SurfaceFormatError, load_resolution, load_surface, save_surface
+from .surface_io import (
+    SurfaceFormatError,
+    load_resolution,
+    load_surface,
+    resolution_from_dict,
+    save_surface,
+)
 
 EXIT_INPUT = 2
 EXIT_BUG = 3
@@ -125,7 +130,10 @@ def cmd_seshadri(args) -> int:
         "value": fmt_q(bound.value) if bound.value is not None else None,
         "kind": bound.kind,
         "achieving_curve": bound.achieving_curve,
-        "reducible_candidate": bound.reducible_candidate,
+        # always false, as the achieving curve is one table curve; the key
+        # stays because perfbench/gen.py JSON_KEYS requires it and goes with
+        # the next change to the benchmark
+        "reducible_candidate": False,
         "note": bound.note,
     }
     lines = [
@@ -188,7 +196,7 @@ def cmd_zariski(args) -> int:
 def cmd_mumford(args) -> int:
     if args.surface:
         res = load_resolution(args.surface)
-    else:
+    elif args.gram is not None:
         try:
             gram = json.loads(args.gram)
         except json.JSONDecodeError as err:
@@ -199,10 +207,11 @@ def cmd_mumford(args) -> int:
             if not vector:
                 raise SurfaceFormatError(f"bad incidence {item!r}; use name=v1,v2,...")
             incidence[name] = [int(x) for x in vector.split(",")]
-        try:
-            res = make_resolution(gram, incidence)
-        except ValueError as err:
-            raise SurfaceFormatError(str(err)) from None
+        res = resolution_from_dict(
+            {"kind": "resolution", "exceptional_gram": gram, "incidence": incidence}
+        )
+    else:
+        raise SurfaceFormatError("mumford needs a resolution file or --gram")
     name1, name2 = args.meet
     base = parse_q(args.base)
     value = mumford_intersect(res, name1, name2, base)
@@ -414,7 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-bundle", required=True)
     p.add_argument("--point", default=None)
     p.add_argument("--points", default=None, help="comma-separated labels")
-    p.add_argument("--bound", type=int, default=3)
+    p.add_argument("--bound", type=int, default=3,
+                   help="must be >= 1; the value does not depend on it, since "
+                   "only single table curves are scored")
     p.add_argument("--jets", type=int, default=None, help="assess s-jet generation")
     p.set_defaults(handler=cmd_seshadri)
 

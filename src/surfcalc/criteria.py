@@ -7,8 +7,8 @@ one-dimensional degree thresholds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .lattice import (
     DivisorClass,
@@ -37,6 +37,33 @@ FREENESS_SIGNATURES = ((0, -1), (1, 0))
 VERY_AMPLE_SIGNATURES = ((0, -1), (0, -2), (1, 0), (1, -1), (2, 0))
 
 
+def _scan(
+    model: SurfaceModel,
+    l: DivisorClass,
+    accept,
+    coeff_bound: int,
+    point: str | None = None,
+) -> list[Witness]:
+    """Effective table combinations D with accept(D.L, D^2), optionally
+    restricted to classes with positive multiplicity at a point.  The one
+    consumer of effective_combinations: lexicographic coefficient order,
+    and every witness re-verifies by construction."""
+    mults = None if point is None else [record.mult_at(point) for record in model.curves]
+    hits: list[Witness] = []
+    for combo in effective_combinations(model, coeff_bound):
+        dl = intersect(model, combo.klass, l)
+        d2 = self_int(model, combo.klass)
+        if not accept(dl, d2):
+            continue
+        mult = None
+        if mults is not None:
+            mult = sum(map(operator.mul, combo.coefficients, mults))
+            if mult <= 0:
+                continue
+        hits.append(Witness(combo.label, combo.klass, dl, d2, mult))
+    return hits
+
+
 def _signature_search(
     model: SurfaceModel,
     l: DivisorClass,
@@ -44,26 +71,8 @@ def _signature_search(
     coeff_bound: int,
     point: str | None = None,
 ) -> list[Witness]:
-    """Effective table combinations whose (D.L, D^2) lies in `signatures`,
-    optionally restricted to classes with positive multiplicity at a point.
-    Lexicographic coefficient order; every witness re-verifies by
-    construction."""
-    wanted = {(Fraction(a), Fraction(b)) for a, b in signatures}
-    hits: list[Witness] = []
-    if not model.curves:
-        return hits
-    for combo in effective_combinations(model, coeff_bound):
-        dl = intersect(model, combo.klass, l)
-        d2 = self_int(model, combo.klass)
-        if (dl, d2) not in wanted:
-            continue
-        mult = None
-        if point is not None:
-            mult = combo.mult_at(model, point)
-            if mult <= 0:
-                continue
-        hits.append(Witness(combo.label, combo.klass, dl, d2, mult))
-    return hits
+    """Effective table combinations whose (D.L, D^2) lies in `signatures`."""
+    return _scan(model, l, lambda dl, d2: (dl, d2) in signatures, coeff_bound, point)
 
 
 def _closing_verdict(
@@ -305,12 +314,7 @@ def jets_length_d(
         sufficient,
     )
 
-    witnesses: list[Witness] = []
-    for combo in effective_combinations(model, coeff_bound) if model.curves else ():
-        ld = intersect(model, combo.klass, l)
-        d2 = self_int(model, combo.klass)
-        if ld - d <= d2 and 2 * d2 < ld:
-            witnesses.append(Witness(combo.label, combo.klass, ld, d2))
+    witnesses = _scan(model, l, lambda ld, d2: ld - d <= d2 and 2 * d2 < ld, coeff_bound)
 
     if sufficient and model.cone_complete():
         report.verdict = HOLDS

@@ -531,51 +531,7 @@ def hodge_index_check(model: SurfaceModel, l: DivisorClass, d: DivisorClass) -> 
 
 
 # ---------------------------------------------------------------------------
-# constrained enumeration of effective classes
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """One exact constraint on a candidate class D.
-
-    `against is None` constrains the self-intersection D^2, otherwise the
-    product D.against.  op is one of ==, !=, <=, <, >=, >.
-    """
-
-    against: DivisorClass | None
-    op: str
-    value: Fraction
-
-    _OPS = {
-        "==": lambda a, b: a == b,
-        "!=": lambda a, b: a != b,
-        "<=": lambda a, b: a <= b,
-        "<": lambda a, b: a < b,
-        ">=": lambda a, b: a >= b,
-        ">": lambda a, b: a > b,
-    }
-
-    def __init__(self, against, op, value):
-        if op not in self._OPS:
-            raise ValueError(f"unknown comparison {op!r}")
-        object.__setattr__(self, "against", against)
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "value", Fraction(value))
-
-    def satisfied(self, model: SurfaceModel, d: DivisorClass) -> bool:
-        if self.against is None:
-            actual = self_int(model, d)
-        else:
-            actual = intersect(model, d, self.against)
-        return self._OPS[self.op](actual, self.value)
-
-
-def dot_constraint(against: DivisorClass, op: str, value) -> Constraint:
-    return Constraint(against, op, value)
-
-
-def self_int_constraint(op: str, value) -> Constraint:
-    return Constraint(None, op, value)
+# bounded enumeration of effective table combinations
 
 
 @dataclass(frozen=True)
@@ -595,22 +551,13 @@ class EffectiveCombination:
             terms.append(name if n == 1 else f"{n}*{name}")
         return " + ".join(terms) if terms else "0"
 
-    def mult_at(self, model: SurfaceModel, point: str) -> int:
-        total = 0
-        for n, name in zip(self.coefficients, self.curve_names):
-            if n:
-                total += n * model.curve(name).mult_at(point)
-        return total
-
-    def is_single_curve(self) -> bool:
-        return sum(self.coefficients) == 1
-
 
 def effective_combinations(
     model: SurfaceModel, coeff_bound: int
 ) -> Iterator[EffectiveCombination]:
     """All nonzero combinations sum(n_i C_i), 0 <= n_i <= coeff_bound, in
-    lexicographic order of the coefficient vector."""
+    lexicographic order of the coefficient vector.  Every table search in
+    the package reads them through criteria._scan."""
     if coeff_bound < 1:
         raise ValueError("coeff_bound must be >= 1")
     names = tuple(record.name for record in model.curves)
@@ -648,27 +595,3 @@ def effective_combinations(
         # the cache and never clears this class's denominators
         klass.__dict__["_scaled"] = (denom, total)
         yield EffectiveCombination(tuple(coeffs), klass, names)
-
-
-@dataclass(frozen=True)
-class EnumerationResult:
-    classes: tuple[DivisorClass, ...]
-    combinations: tuple[EffectiveCombination, ...]
-    empty_table: bool = False
-
-
-def enumerate_effective_classes(
-    model: SurfaceModel, constraints: Sequence[Constraint], coeff_bound: int
-) -> EnumerationResult:
-    """Table combinations satisfying every constraint, lexicographic order.
-
-    An empty curve table is not an error: the result is empty and flagged.
-    """
-    if not model.curves:
-        return EnumerationResult((), (), empty_table=True)
-    hits = [
-        combo
-        for combo in effective_combinations(model, coeff_bound)
-        if all(c.satisfied(model, combo.klass) for c in constraints)
-    ]
-    return EnumerationResult(tuple(h.klass for h in hits), tuple(hits))

@@ -5,14 +5,14 @@ arbitrarily small constants.
 The constant at x is the infimum of L.C / mult_x(C) over curves through
 x.  A finite table only ever yields an upper bound for the infimum unless
 it is declared exhaustive for curves through the point, in which case the
-bound is exact.  Bounded non-negative combinations of table curves are
-scored as well, but a combination is a reducible class: it is flagged and
-never certifies by itself.
+bound is exact.  Only single table curves are scored: for L nef on the
+table both L.D and mult_x(D) are additive over D = sum(n_i C_i), so by the
+mediant inequality no combination of table curves has a smaller ratio than
+the best curve it contains.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -22,7 +22,6 @@ from .lattice import (
     DivisorClass,
     IntersectionLattice,
     SurfaceModel,
-    effective_combinations,
     intersect,
     is_nef_on_table,
     self_int,
@@ -35,25 +34,11 @@ class SeshadriBound:
     value: Fraction | None
     kind: str                       # upper-bound | exact-given-complete-table | no-data
     achieving_curve: str | None
-    reducible_candidate: bool = False
     note: str | None = None
 
     @property
     def has_data(self) -> bool:
         return self.value is not None
-
-
-def _minimize(candidates) -> tuple[Fraction, str, tuple, bool] | None:
-    """Deterministic minimum: smallest ratio, then lexicographic class."""
-    best = None
-    for ratio, label, klass, reducible in candidates:
-        key = (ratio, tuple(klass.coeffs))
-        if best is None or key < best[0]:
-            best = (key, label, klass, reducible)
-    if best is None:
-        return None
-    (ratio, _), label, klass, reducible = best
-    return ratio, label, klass, reducible
 
 
 def _bound_from_table(
@@ -63,32 +48,30 @@ def _bound_from_table(
     covered: bool,
     coeff_bound: int,
 ) -> SeshadriBound:
-    candidates = []
-    for combo in effective_combinations(model, coeff_bound) if model.curves else ():
-        mult = sum(map(operator.mul, combo.coefficients, curve_mults))
-        if mult <= 0:
-            continue
-        ratio = Fraction(intersect(model, l, combo.klass), mult)
-        candidates.append((ratio, combo.label, combo.klass, not combo.is_single_curve()))
-    found = _minimize(candidates)
+    if coeff_bound < 1:
+        raise ValueError("coeff_bound must be >= 1")
+    candidates = [
+        (Fraction(intersect(model, l, record.klass), mult), record.klass.coeffs, record.name)
+        for record, mult in zip(model.curves, curve_mults)
+        if mult > 0
+    ]
+    # smallest ratio, then smallest class; of two curves with the same class
+    # the later one wins
+    found = min(reversed(candidates), key=lambda c: c[:2], default=None)
     if found is None:
         return SeshadriBound(None, "no-data", None, note="no table curve through the point(s)")
-    ratio, label, _, reducible = found
+    ratio, _, name = found
     kind = "exact-given-complete-table" if covered else "upper-bound"
-    note = None
-    if reducible:
-        note = (
-            "achieved by a reducible combination; only irreducible table "
-            "entries certify upper bounds for the infimum"
-        )
-    return SeshadriBound(ratio, kind, label, reducible, note)
+    return SeshadriBound(ratio, kind, name)
 
 
 def seshadri_at_point(
     model: SurfaceModel, l: DivisorClass, point: str, coeff_bound: int = 3
 ) -> SeshadriBound:
-    """Minimize L.C / mult_x(C) over table curves (and bounded combinations)
-    with positive multiplicity at the point."""
+    """Minimize L.C / mult_x(C) over table curves with positive
+    multiplicity at the point.  `coeff_bound` (>= 1) is accepted for
+    compatibility and does not change the value: no bounded combination
+    of table curves beats the best single curve."""
     if not is_nef_on_table(model, l):
         raise ValueError("Seshadri bounds need L nef on the table")
     return _bound_from_table(
@@ -103,8 +86,9 @@ def seshadri_at_point(
 def multipoint_seshadri(
     model: SurfaceModel, l: DivisorClass, points: Sequence[str], coeff_bound: int = 3
 ) -> SeshadriBound:
-    """Multi-point constant: minimize L.C / sum_i mult_{x_i}(C).  With a
-    single point this is exactly the one-point bound."""
+    """Multi-point constant: minimize L.C / sum_i mult_{x_i}(C) over table
+    curves.  With a single point this is exactly the one-point bound;
+    `coeff_bound` is checked but, as there, does not change the value."""
     points = list(points)
     if len(set(points)) != len(points):
         raise ValueError("points must be distinct")
@@ -125,11 +109,7 @@ def multipoint_seshadri(
             "L^2 exceeds the number of points: at r sufficiently general "
             "points a nef L with L^2 > r has multi-point constant >= 1"
         )
-        bound = SeshadriBound(
-            bound.value, bound.kind, bound.achieving_curve,
-            bound.reducible_candidate,
-            note if bound.note is None else bound.note + "; " + note,
-        )
+        bound = SeshadriBound(bound.value, bound.kind, bound.achieving_curve, note)
     return bound
 
 

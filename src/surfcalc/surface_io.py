@@ -24,6 +24,9 @@ Resolution schema:
     {"kind": "resolution", "name": str,
      "exceptional_gram": [[int, ...], ...],
      "incidence": {divisor_name: [int, ...]}}
+
+Its fields are typed the same way: `exceptional_gram` a list of integer
+lists, `incidence` an object of integer lists, `name` (optional) a string.
 """
 
 from __future__ import annotations
@@ -173,15 +176,19 @@ def resolution_from_dict(data: dict) -> ResolutionData:
     if not isinstance(data, dict) or data.get("kind") != "resolution":
         raise SurfaceFormatError("not a resolution file (kind must be 'resolution')")
     try:
-        gram = [_expect_int_list(row, "exceptional_gram") for row in data["exceptional_gram"]]
+        gram = [
+            _expect_int_list(row, "exceptional_gram row")
+            for row in _expect_type(data["exceptional_gram"], list, "exceptional_gram")
+        ]
         incidence = {
             name: _expect_int_list(vec, f"incidence[{name}]")
-            for name, vec in data["incidence"].items()
+            for name, vec in _expect_type(data["incidence"], dict, "incidence").items()
         }
     except KeyError as missing:
         raise SurfaceFormatError(f"missing required key {missing}") from None
+    name = _expect_type(data.get("name", "resolution"), str, "name")
     try:
-        return make_resolution(gram, incidence, data.get("name", "resolution"))
+        return make_resolution(gram, incidence, name)
     except ValueError as err:
         raise SurfaceFormatError(str(err)) from None
 

@@ -1,5 +1,9 @@
+import ast
+import pathlib
+
 import pytest
 
+import surfcalc
 from surfcalc import (
     CurveRecord,
     DivisorClass,
@@ -306,3 +310,28 @@ def test_normal_generation_threshold():
     assert normal_generation_threshold(5, 2, 0) == 7
     # general curve of genus 7 has Clifford index 3
     assert normal_generation_threshold(7, 0, 3) == 12
+
+
+# ---------------------------------------------------------------------------
+# source-level guard
+
+
+def test_effective_combinations_has_one_caller():
+    """Every table search runs through criteria._scan, so a change to the
+    enumeration (pruning, a work budget) has one place to land."""
+    package_root = pathlib.Path(surfcalc.__file__).parent
+    users = []
+    for source in sorted(package_root.rglob("*.py")):
+        tree = ast.parse(source.read_text(encoding="utf-8"))
+
+        def visit(node, scope):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                scope = scope + (node.name,)
+            name = getattr(node, "id", None) or getattr(node, "attr", None)
+            if name == "effective_combinations":
+                users.append((source.stem, ".".join(scope)))
+            for child in ast.iter_child_nodes(node):
+                visit(child, scope)
+
+        visit(tree, ())
+    assert users == [("criteria", "_scan")]

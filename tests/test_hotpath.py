@@ -1,8 +1,8 @@
 """Differential tests of the integer hot paths against plain Fraction
 references kept here: the Gram pairing, the enumeration of table
-combinations and the Seshadri minimum built on them, the destabilizer
-scan, solve_exact, the negative-definiteness test and the Mumford
-product."""
+combinations and the criteria witnesses and Seshadri minimum built on
+them, the destabilizer scan, solve_exact, the negative-definiteness test
+and the Mumford product."""
 
 import itertools
 import random
@@ -21,15 +21,19 @@ from surfcalc import (
     fixture_catalog,
     in_positive_cone,
     intersect,
+    jets_length_d,
     load_fixture,
     miranda_example,
     multipoint_seshadri,
     mumford_intersect,
     mumford_pullback,
+    reider_freeness,
+    reider_very_ample,
     seshadri_at_point,
 )
 from surfcalc.lattice import effective_combinations
 from surfcalc.positivity import _is_negative_definite, make_resolution, solve_exact
+from surfcalc.report import HYPOTHESES_FAIL, OBSTRUCTION
 
 from conftest import diag_surface
 
@@ -134,9 +138,70 @@ def test_effective_combinations_match_product_order(seed):
     assert len(got) == (bound + 1) ** len(model.curves) - 1
 
 
+def reference_scan(model, l, bound):
+    """(label, class, D.L, D^2, coefficients) of every combination D, in
+    itertools.product order."""
+    gram = model.lattice.gram
+    out = []
+    for coeffs, klass, label in reference_combinations(model, bound):
+        d = DivisorClass(klass)
+        out.append((label, klass, reference_pair(gram, d, l), reference_pair(gram, d, d), coeffs))
+    return out
+
+
+def reference_witnesses(model, scan, accept, point=None):
+    """(label, class, D.L, D^2, mult) of every scanned D with
+    accept(D.L, D^2), and positive multiplicity at `point` if one is
+    given."""
+    out = []
+    for label, klass, dl, d2, coeffs in scan:
+        if not accept(dl, d2):
+            continue
+        mult = None
+        if point is not None:
+            mult = sum(n * record.point_mults.get(point, 0)
+                       for n, record in zip(coeffs, model.curves))
+            if mult <= 0:
+                continue
+        out.append((label, klass, dl, d2, mult))
+    return out
+
+
+@pytest.mark.parametrize("seed", TABLES)
+def test_criteria_witnesses_match_brute_force(seed):
+    model, _, bound = random_table(seed)
+    freeness = {(0, -1), (1, 0)}
+    very_ample = {(0, -1), (0, -2), (1, 0), (1, -1), (2, 0)}
+    for k in (4, 5):
+        l = DivisorClass([k] + [0] * (model.rank - 1))
+        scan = reference_scan(model, l, bound)
+        cases = [
+            (reider_freeness(model, l, None, bound),
+             lambda dl, d2: (dl, d2) in freeness, None),
+            (reider_freeness(model, l, "x", bound),
+             lambda dl, d2: (dl, d2) in freeness, "x"),
+            (reider_very_ample(model, l, bound),
+             lambda dl, d2: (dl, d2) in very_ample, None),
+            (jets_length_d(model, l, 2, bound),
+             lambda dl, d2: dl - 2 <= d2 and 2 * d2 < dl, None),
+        ]
+        for report, accept, point in cases:
+            assert report.verdict != HYPOTHESES_FAIL
+            expected = reference_witnesses(model, scan, accept, point)
+            got = [(w.label, w.klass.coeffs, w.dot_l, w.self_intersection, w.mult_at_point)
+                   for w in report.witnesses]
+            if report.verdict == OBSTRUCTION or not expected:
+                assert got == expected
+            else:
+                # jets_length_d counts window candidates beside a sufficient check
+                assert not got
+                assert f"window candidates within bound: {len(expected)}" in report.notes
+
+
 def reference_seshadri(model, l, points, bound):
     """Brute-force minimum of L.D / sum of mult_p(D) over the combinations,
-    ties to the smaller class vector, as (value, kind, label, note)."""
+    ties to the smaller class vector, as (value, kind, note, label,
+    whether the label is a single curve)."""
     best = None
     for coeffs, klass, label in reference_combinations(model, bound):
         mult = sum(
@@ -148,38 +213,44 @@ def reference_seshadri(model, l, points, bound):
             continue
         key = (reference_pair(model.lattice.gram, l, DivisorClass(klass)) / mult, klass)
         if best is None or key < best[0]:
-            best = (key, label, sum(coeffs) != 1)
+            best = (key, label, sum(coeffs) == 1)
     if best is None:
-        return None, "no-data", None, "no table curve through the point(s)"
-    (value, _), label, reducible = best
+        return None, "no-data", "no table curve through the point(s)", None, False
+    (value, _), label, single = best
     covered = all(model.complete_through and p in model.complete_through for p in points)
     kind = "exact-given-complete-table" if covered else "upper-bound"
-    notes = []
-    if reducible:
-        notes.append(
-            "achieved by a reducible combination; only irreducible table "
-            "entries certify upper bounds for the infimum"
-        )
+    note = None
     if len(points) > 1 and reference_pair(model.lattice.gram, l, l) > len(points):
-        notes.append(
+        note = (
             "L^2 exceeds the number of points: at r sufficiently general "
             "points a nef L with L^2 > r has multi-point constant >= 1"
         )
-    return value, kind, label, "; ".join(notes) or None
+    return value, kind, note, label, single
 
 
-def _summary(bound: SeshadriBound):
-    return bound.value, bound.kind, bound.achieving_curve, bound.note
+def check_seshadri(model, l, points, bound, got: SeshadriBound):
+    """Value, kind and note as the brute force gives them; the achieving
+    curve is one table curve that attains the value, and it is the brute
+    force's own choice whenever that is a single curve."""
+    value, kind, note, label, single = reference_seshadri(model, l, points, bound)
+    assert (got.value, got.kind, got.note) == (value, kind, note)
+    if value is None:
+        assert got.achieving_curve is None
+        return
+    [curve] = [record for record in model.curves if record.name == got.achieving_curve]
+    mult = sum(curve.point_mults.get(p, 0) for p in points)
+    assert mult > 0
+    assert reference_pair(model.lattice.gram, l, curve.klass) / mult == value
+    if single:
+        assert got.achieving_curve == label
 
 
 @pytest.mark.parametrize("seed", TABLES)
 def test_seshadri_matches_brute_force(seed):
     model, l, bound = random_table(seed)
     for point in ("x", "y"):
-        got = _summary(seshadri_at_point(model, l, point, bound))
-        assert got == reference_seshadri(model, l, [point], bound), point
-    got = _summary(multipoint_seshadri(model, l, ["x", "y"], bound))
-    assert got == reference_seshadri(model, l, ["x", "y"], bound)
+        check_seshadri(model, l, [point], bound, seshadri_at_point(model, l, point, bound))
+    check_seshadri(model, l, ["x", "y"], bound, multipoint_seshadri(model, l, ["x", "y"], bound))
 
 
 # ---------------------------------------------------------------------------

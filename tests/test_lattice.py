@@ -10,19 +10,16 @@ from surfcalc import (
     IntersectionLattice,
     NonIntegralDivisor,
     SurfaceModel,
-    dot_constraint,
-    enumerate_effective_classes,
     euler_characteristic,
     hodge_index_check,
     intersect,
     is_big_nef_on_table,
     is_nef_on_table,
     self_int,
-    self_int_constraint,
     validate_surface,
 )
 
-from surfcalc.lattice import min_intersection
+from surfcalc.lattice import effective_combinations, min_intersection
 
 from conftest import diag_surface
 
@@ -270,28 +267,29 @@ def test_hodge_index_random(p1xp1, blp2, k3, abelian):
 
 def test_enumerate_p1xp1_single_hit(p1xp1):
     l = DivisorClass([1, 3])
-    result = enumerate_effective_classes(
-        p1xp1, [dot_constraint(l, "==", 1), self_int_constraint("==", 0)], 3
-    )
-    assert [tuple(c.coeffs) for c in result.classes] == [(0, 1)]
-    assert result.combinations[0].label == "F2"
+    hits = [
+        combo
+        for combo in effective_combinations(p1xp1, 3)
+        if intersect(p1xp1, combo.klass, l) == 1 and self_int(p1xp1, combo.klass) == 0
+    ]
+    assert [tuple(c.klass.coeffs) for c in hits] == [(0, 1)]
+    assert hits[0].label == "F2"
 
 
 def test_enumerate_even_form_has_no_odd_square(p1xp1):
-    result = enumerate_effective_classes(p1xp1, [self_int_constraint("==", -1)], 3)
-    assert result.classes == ()
+    combos = list(effective_combinations(p1xp1, 3))
+    assert combos
+    assert not any(self_int(p1xp1, c.klass) == -1 for c in combos)
 
 
 def test_enumerate_impossible_constraint(p1xp1):
     l = DivisorClass([1, 3])
-    result = enumerate_effective_classes(p1xp1, [dot_constraint(l, "<", 0)], 3)
-    assert result.classes == ()
+    assert not any(intersect(p1xp1, c.klass, l) < 0 for c in effective_combinations(p1xp1, 3))
 
 
-def test_enumerate_empty_table_flagged():
+def test_enumerate_empty_table_yields_nothing():
     model = diag_surface([1, -1], [-3, 1], name="empty")
-    result = enumerate_effective_classes(model, [], 3)
-    assert result.empty_table and result.classes == ()
+    assert list(effective_combinations(model, 3)) == []
 
 
 def brute_force_combinations(model, bound):
@@ -333,8 +331,11 @@ def all_surface_fixtures():
 def test_enumeration_matches_brute_force(bound):
     for model in all_surface_fixtures():
         l = DivisorClass([1] * model.rank)
-        constraints = [dot_constraint(l, ">=", 0)]
-        result = enumerate_effective_classes(model, constraints, bound)
+        hits = [
+            combo
+            for combo in effective_combinations(model, bound)
+            if intersect(model, combo.klass, l) >= 0
+        ]
         expected = []
         for coeffs, total in brute_force_combinations(model, bound):
             d = DivisorClass(total)
@@ -344,4 +345,4 @@ def test_enumeration_matches_brute_force(bound):
             )
             if value >= 0:
                 expected.append(coeffs)
-        assert [c.coefficients for c in result.combinations] == expected
+        assert [c.coefficients for c in hits] == expected

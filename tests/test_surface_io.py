@@ -4,7 +4,7 @@ import pytest
 
 from surfcalc import fixture_path, validate_surface
 from surfcalc.cli import main
-from surfcalc.surface_io import SurfaceFormatError, surface_from_dict
+from surfcalc.surface_io import SurfaceFormatError, resolution_from_dict, surface_from_dict
 
 
 def blp2_data():
@@ -61,3 +61,46 @@ def test_cli_rejects_malformed_fields_with_exit_2(case, tmp_path, capsys):
     assert main(["reider", str(path), "--line-bundle", "3,-1"]) == 2
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# resolution data
+
+
+def cone_data():
+    return json.loads(fixture_path("quadric_cone").read_text())
+
+
+MALFORMED_RESOLUTIONS = {
+    "gram-int": (lambda d: dict(d, exceptional_gram=5), "exceptional_gram"),
+    "gram-float-entry": (lambda d: dict(d, exceptional_gram=[[-2.0]]), "exceptional_gram"),
+    "incidence-list": (lambda d: dict(d, incidence=[1]), "incidence"),
+    "incidence-null": (lambda d: dict(d, incidence=None), "incidence"),
+    "incidence-true": (lambda d: dict(d, incidence=True), "incidence"),
+    "incidence-string": (lambda d: dict(d, incidence="ruling1"), "incidence"),
+    "name-list": (lambda d: dict(d, name=["cone"]), "name"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_RESOLUTIONS))
+def test_resolution_field_types_are_enforced(case, tmp_path, capsys):
+    mutate, field = MALFORMED_RESOLUTIONS[case]
+    with pytest.raises(SurfaceFormatError) as err:
+        resolution_from_dict(mutate(cone_data()))
+    assert field in str(err.value)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(mutate(cone_data())))
+    assert main(["mumford", str(path), "--meet", "ruling1", "ruling2", "--base", "0"]) == 2
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--gram", "[[-2.0]]", "--incidence", "D=1"],
+    ["--gram", "5", "--incidence", "D=1"],
+    ["--gram", '"[[-2]]"', "--incidence", "D=1"],
+    ["--incidence", "D=1"],
+    [],
+], ids=["float-entry", "int", "string", "no-gram", "no-source"])
+def test_mumford_inline_input_exits_2(argv, capsys):
+    assert main(["mumford", *argv, "--meet", "D", "D", "--base", "0"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
