@@ -1,6 +1,8 @@
 """Command-line front end.
 
-One process per request, fully deterministic output.  Exit codes:
+One process per request, fully deterministic output.  Each handler returns
+a JSON payload and an exit code; `main` prints the payload, as JSON with
+`--format json` and through `report.render_text` otherwise.  Exit codes:
 
     0   success / criterion-holds
     10  obstruction-found
@@ -13,6 +15,7 @@ One process per request, fully deterministic output.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -38,9 +41,9 @@ from .positivity import (
     qdivisor_very_ample_check,
     zariski_decompose,
 )
-from .qdivisor import parse_qdivisor, table_namespace
+from .qdivisor import class_of, parse_qdivisor, table_namespace
 from .rational import fmt_q, parse_q
-from .report import EXIT_CODES, CertificateReport
+from .report import EXIT_CODES, render_text
 from .seshadri import jets_from_seshadri, multipoint_seshadri, seshadri_at_point
 from .surface_io import (
     SurfaceFormatError,
@@ -70,24 +73,15 @@ def _load_validated(path):
     return model
 
 
-def _emit(payload: dict, fmt: str, text_lines) -> None:
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            print(line)
-
-
-def _report_output(report: CertificateReport, fmt: str) -> int:
-    _emit(report.to_json(), fmt, report.render().splitlines())
-    return report.exit_code
+def _coeffs(klass: DivisorClass) -> list[str]:
+    return [fmt_q(c) for c in klass.coeffs]
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers
+# subcommand handlers: each returns (payload, exit code)
 
 
-def cmd_validate(args) -> int:
+def cmd_validate(args):
     model = load_surface(args.surface)
     report = validate_surface(model)
     payload = {
@@ -98,25 +92,20 @@ def cmd_validate(args) -> int:
             for c in report.checks
         ],
     }
-    lines = [f"surface: {model.name}"]
-    for c in report.checks:
-        lines.append(f"  [{'ok' if c.passed else 'FAIL'}] {c.name}: {c.detail}")
-    lines.append("valid" if report.ok else "INVALID")
-    _emit(payload, args.format, lines)
-    return 0 if report.ok else EXIT_INPUT
+    return payload, 0 if report.ok else EXIT_INPUT
 
 
-def cmd_reider(args) -> int:
+def cmd_reider(args):
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     if args.very_ample:
         report = reider_very_ample(model, l, args.bound)
     else:
         report = reider_freeness(model, l, args.point, args.bound)
-    return _report_output(report, args.format)
+    return report.to_json(), report.exit_code
 
 
-def cmd_seshadri(args) -> int:
+def cmd_seshadri(args):
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     if args.points:
@@ -136,64 +125,35 @@ def cmd_seshadri(args) -> int:
         "reducible_candidate": False,
         "note": bound.note,
     }
-    lines = [
-        f"seshadri bound: {fmt_q(bound.value) if bound.value is not None else 'no data'}",
-        f"kind: {bound.kind}",
-    ]
-    if bound.achieving_curve:
-        lines.append(f"achieved by: {bound.achieving_curve}")
-    if bound.note:
-        lines.append(f"note: {bound.note}")
     if args.jets is not None:
         if bound.value is None:
             raise SurfaceFormatError("no Seshadri data: cannot assess jets")
         verdict = jets_from_seshadri(bound.value, self_int(model, l), args.jets)
         payload["jets"] = {"s": verdict.s, "generates": verdict.generates_jets,
                            "reason": verdict.reason}
-        lines.append(
-            f"generates {verdict.s}-jets: {verdict.generates_jets} ({verdict.reason})"
-        )
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, 0
 
 
-def cmd_zariski(args) -> int:
+def cmd_zariski(args):
     model = _load_validated(args.surface)
-    namespace = table_namespace(model)
-    from .qdivisor import class_of
-    divisor = parse_qdivisor(args.divisor, namespace)
+    divisor = parse_qdivisor(args.divisor, table_namespace(model))
     d = class_of(model, divisor)
     try:
         decomposition = zariski_decompose(model, d)
     except NotPseudoeffective as err:
-        _emit({"error": str(err)}, args.format, [f"aborted: {err}"])
-        return EXIT_CODES["hypotheses-fail"]
+        return {"error": str(err)}, EXIT_CODES["hypotheses-fail"]
     payload = {
-        "input": [fmt_q(c) for c in d.coeffs],
-        "positive_part": [fmt_q(c) for c in decomposition.positive_part.coeffs],
+        "input": _coeffs(d),
+        "positive_part": _coeffs(decomposition.positive_part),
         "negative_part": [
             {"curve": name, "coefficient": fmt_q(c)}
             for name, c in decomposition.negative_part
         ],
     }
-    lines = [
-        f"D = {d!r}",
-        f"P = {decomposition.positive_part!r}",
-        "N = "
-        + (
-            " + ".join(
-                f"{fmt_q(c)}*{name}" if c != 1 else name
-                for name, c in decomposition.negative_part
-            )
-            if decomposition.negative_part
-            else "0"
-        ),
-    ]
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, 0
 
 
-def cmd_mumford(args) -> int:
+def cmd_mumford(args):
     if args.surface:
         res = load_resolution(args.surface)
     elif args.gram is not None:
@@ -213,20 +173,15 @@ def cmd_mumford(args) -> int:
     else:
         raise SurfaceFormatError("mumford needs a resolution file or --gram")
     name1, name2 = args.meet
-    base = parse_q(args.base)
-    value = mumford_intersect(res, name1, name2, base)
+    value = mumford_intersect(res, name1, name2, parse_q(args.base))
     deltas = {
         name: [fmt_q(x) for x in mumford_pullback(res, name)]
         for name in sorted(res.incidence)
     }
-    payload = {"intersection": fmt_q(value), "delta": deltas}
-    lines = [f"delta[{name}] = ({', '.join(vec)})" for name, vec in deltas.items()]
-    lines.append(f"{name1}.{name2} = {fmt_q(value)}")
-    _emit(payload, args.format, lines)
-    return 0
+    return {"intersection": fmt_q(value), "delta": deltas}, 0
 
 
-def cmd_matsusaka(args) -> int:
+def cmd_matsusaka(args):
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     a = self_int(model, l)
@@ -247,81 +202,56 @@ def cmd_matsusaka(args) -> int:
     }
     if thresholds.note:
         payload["note"] = thresholds.note
-    lines = [
-        f"a = L^2 = {fmt_q(a)}, b = (K + 4L).L = {fmt_q(b)}",
-        f"mL globally generated for m >= {thresholds.m_free}",
-        f"mL very ample for m >= {thresholds.m_very_ample}",
-        f"rho(m_free) = {fmt_q(thresholds.rho(thresholds.m_free))}",
-        f"working condition at m_free: rho > 4: {star.rho_gt_4}, "
-        f"sqrt inequality: {star.sqrt_inequality} ({star.branch})",
-    ]
-    if thresholds.note:
-        lines.append(f"note: {thresholds.note}")
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, 0
 
 
-def cmd_blowup(args) -> int:
+def cmd_blowup(args):
     model = _load_validated(args.surface)
     bm = blow_up(model, args.point)
     save_surface(bm.result, args.output)
-    print(f"wrote {args.output} (rank {bm.result.rank}, exceptional E_{args.point})")
-    return 0
+    payload = {"output": args.output, "rank": bm.result.rank,
+               "exceptional": f"E_{args.point}"}
+    return payload, 0
 
 
-def cmd_bundle(args) -> int:
+def cmd_bundle(args):
     model = _load_validated(args.surface)
-    c1 = parse_class(args.c1)
-    data = ChernData(2, c1, args.c2)
+    data = ChernData(2, parse_class(args.c1), args.c2)
     payload: dict = {
-        "c1": [fmt_q(c) for c in data.c1.coeffs],
+        "c1": _coeffs(data.c1),
         "c2": data.c2,
         "discriminant": fmt_q(discriminant(model, data)),
     }
-    lines = [f"discriminant c1^2 - 4c2 = {payload['discriminant']}"]
     if args.twist:
         twisted = twist(model, data, parse_class(args.twist))
         payload["twisted"] = {
-            "c1": [fmt_q(c) for c in twisted.c1.coeffs],
+            "c1": _coeffs(twisted.c1),
             "c2": twisted.c2,
             "discriminant": fmt_q(discriminant(model, twisted)),
         }
-        lines.append(
-            f"twisted: c1 = {twisted.c1!r}, c2 = {twisted.c2}, "
-            f"discriminant = {payload['twisted']['discriminant']}"
-        )
     if args.destabilize:
         if not args.ample:
             raise SurfaceFormatError("--destabilize needs --ample \"<class>\"")
         result = destabilizer_search(model, data, parse_class(args.ample), args.bound)
         payload["destabilizer_candidates"] = [
-            {"class": [fmt_q(c) for c in cand.klass.coeffs], "length_Z": cand.length_z}
+            {"class": _coeffs(cand.klass), "length_Z": cand.length_z}
             for cand in result.candidates
         ]
         payload["inconclusive"] = result.inconclusive
-        lines.append(f"candidates (bound {result.bound}):")
-        for cand in result.candidates:
-            lines.append(f"  A = {cand.klass!r}, length(Z) = {cand.length_z}")
-        if result.inconclusive:
-            lines.append(
-                "inconclusive: discriminant > 0 guarantees a destabilizer, "
-                "but none within the bound"
-            )
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, 0
 
 
-def cmd_certify_jets(args) -> int:
+def cmd_certify_jets(args):
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     divisor = parse_qdivisor(args.divisor, table_namespace(model))
     report = krs_jet_certificate(
         model, l, args.k, divisor, args.point, args.s, args.ample_asserted
     )
-    return _report_output(report, args.format)
+    return report.to_json(), report.exit_code
 
 
-def cmd_qcheck(args) -> int:
+def cmd_qcheck(args):
     model = _load_validated(args.surface)
     divisor = parse_qdivisor(args.divisor, table_namespace(model))
     if args.very_ample:
@@ -334,10 +264,10 @@ def cmd_qcheck(args) -> int:
         + ("big and nef on table" if vanishing.applies else "not big-and-nef on table")
         + f"; adjoint class {vanishing.adjoint_class!r}"
     )
-    return _report_output(report, args.format)
+    return report.to_json(), report.exit_code
 
 
-def cmd_report(args) -> int:
+def cmd_report(args):
     if args.fixtures:
         payload = {
             "fixtures": [
@@ -346,26 +276,20 @@ def cmd_report(args) -> int:
                 for f in fixture_catalog()
             ]
         }
-        lines = [
-            f"{f.name:18} {f.kind:10} {f.description}" for f in fixture_catalog()
-        ]
-        _emit(payload, args.format, lines)
-        return 0
+        return payload, 0
     if not args.surface:
         raise SurfaceFormatError("report needs a surface file or --fixtures")
     model = load_surface(args.surface)
-    validation = validate_surface(model)
-    k2 = self_int(model, model.canonical)
     payload = {
         "name": model.name,
         "rank": model.rank,
-        "valid": validation.ok,
-        "K2": fmt_q(k2),
+        "valid": validate_surface(model).ok,
+        "K2": fmt_q(self_int(model, model.canonical)),
         "chi_O": model.chi_O,
         "curves": [
             {
                 "name": c.name,
-                "class": [fmt_q(x) for x in c.klass.coeffs],
+                "class": _coeffs(c.klass),
                 "self_intersection": fmt_q(self_int(model, c.klass)),
                 "genus": c.genus,
             }
@@ -373,25 +297,17 @@ def cmd_report(args) -> int:
         ],
         "complete_through": list(model.complete_through or ()),
     }
-    lines = [
-        f"surface {model.name}: rank {model.rank}, K^2 = {fmt_q(k2)}, "
-        f"chi(O) = {model.chi_O}, valid = {validation.ok}",
-        f"completeness: {', '.join(model.complete_through) if model.complete_through else 'none declared'}",
-    ]
-    for c in model.curves:
-        lines.append(
-            f"  curve {c.name}: class {c.klass!r}, C^2 = {fmt_q(self_int(model, c.klass))}"
-            + (f", genus {c.genus}" if c.genus is not None else "")
-        )
-    _emit(payload, args.format, lines)
-    return 0
+    return payload, 0
 
 
 # ---------------------------------------------------------------------------
 # parser
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` returns a
+    fresh namespace on every call, so `main` can reuse it."""
     parser = argparse.ArgumentParser(
         prog="surfcalc",
         description="exact-rational linear-series criteria on algebraic surfaces",
@@ -437,8 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("mumford", help="Mumford Q-intersection on a resolution")
     p.add_argument("surface", nargs="?", default=None,
                    help="resolution description file (JSON)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=None)
+    common(p, surface=False)
     p.add_argument("--gram", default=None, help='exceptional Gram matrix, e.g. "[[-2]]"')
     p.add_argument("--incidence", action="append",
                    help='repeatable, e.g. "ruling1=1"')
@@ -459,8 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bundle", help="rank-2 Chern data: discriminant, twist, destabilizers")
     p.add_argument("--surface", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=None)
+    common(p, surface=False)
     p.add_argument("--c1", required=True)
     p.add_argument("--c2", type=int, required=True)
     p.add_argument("--twist", default=None)
@@ -487,8 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="surface dossier or fixture catalog")
     p.add_argument("surface", nargs="?", default=None)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=None)
+    common(p, surface=False)
     p.add_argument("--fixtures", action="store_true", help="list bundled fixtures")
     p.set_defaults(handler=cmd_report)
 
@@ -496,19 +409,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
-    except (SurfaceFormatError, FileNotFoundError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    except (ValueError, KeyError) as err:
+        payload, code = args.handler(args)
+    except (OSError, ValueError, KeyError) as err:
+        # SurfaceFormatError is a ValueError; OSError covers a missing input
+        # and an unwritable -o
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantBreach as err:
         print(f"internal invariant breach: {err}", file=sys.stderr)
         return EXIT_BUG
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(render_text(payload))
+    return code
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ Exit codes for the CLI mirror the verdicts (0 / 10 / 12 / 11).
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -38,12 +39,6 @@ class TraceLine:
     left: Fraction | int | str
     right: Fraction | int | str
     passed: bool
-
-    def render(self) -> str:
-        mark = "ok" if self.passed else "FAIL"
-        if self.right == "":
-            return f"[{mark}] {self.check}: {_fmt(self.left)}"
-        return f"[{mark}] {self.check}: {_fmt(self.left)} vs {_fmt(self.right)}"
 
     def to_json(self) -> dict:
         return {
@@ -117,22 +112,40 @@ class CertificateReport:
         return data
 
     def render(self) -> str:
-        lines = [f"verdict: {self.verdict}"]
-        if self.bound is not None:
-            lines.append(f"search bound: {self.bound}")
-        for t in self.trace:
-            lines.append("  " + t.render())
-        for w in self.witnesses:
-            lines.append(
-                f"  witness {w.label}: class {w.klass!r}, D.L = {fmt_q(w.dot_l)}, "
-                f"D^2 = {fmt_q(w.self_intersection)}"
-            )
-        for n in self.notes:
-            lines.append(f"  note: {n}")
-        return "\n".join(lines)
+        return render_text(self.to_json())
 
 
 def _fmt(value) -> str:
     if isinstance(value, (Fraction, int)):
         return fmt_q(value)
     return str(value)
+
+
+def render_text(payload: dict) -> str:
+    """The text form of a JSON payload: the same fields, one per line, in
+    payload order.  A scalar prints as `key: value` (strings bare, other
+    scalars as in JSON), a list of scalars as `key: (a, b)`, a nested
+    object as `key:` with its lines indented by two spaces, and a list of
+    objects as `key:` plus one `  - k: v, k: v` line per object."""
+    return "\n".join(_text_lines(payload, ""))
+
+
+def _text_lines(payload: dict, indent: str):
+    for key, value in payload.items():
+        if isinstance(value, dict):
+            yield f"{indent}{key}:"
+            yield from _text_lines(value, indent + "  ")
+        elif value and isinstance(value, list) and all(isinstance(v, dict) for v in value):
+            yield f"{indent}{key}:"
+            for item in value:
+                yield f"{indent}  - " + ", ".join(f"{k}: {_inline(v)}" for k, v in item.items())
+        else:
+            yield f"{indent}{key}: {_inline(value)}"
+
+
+def _inline(value) -> str:
+    if isinstance(value, list):
+        return "(" + ", ".join(_inline(v) for v in value) + ")"
+    if isinstance(value, str):
+        return value
+    return json.dumps(value, sort_keys=True)

@@ -1,10 +1,14 @@
+import argparse
+import ast
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from surfcalc import fixture_path, load_surface
+from surfcalc import cli, fixture_path, load_surface
 from surfcalc.cli import main
+from surfcalc.report import render_text
 from surfcalc.rational import RATIONAL_RE
 
 P1XP1 = str(fixture_path("p1xp1"))
@@ -22,13 +26,13 @@ def run(capsys, *argv):
 
 def test_validate_ok(capsys):
     code, out = run(capsys, "validate", P2)
-    assert code == 0 and "valid" in out
+    assert code == 0 and "ok: true" in out
 
 
 def test_validate_bad_signature(capsys):
     code, out = run(capsys, "validate", BAD)
     assert code == 2
-    assert "signature" in out and "FAIL" in out
+    assert "- name: signature, passed: false" in out
 
 
 def test_reider_obstruction_exit_code(capsys):
@@ -112,7 +116,7 @@ def test_seshadri_jets(capsys):
         capsys, "seshadri", P2, "--line-bundle", "3", "--point", "x", "--jets", "0"
     )
     assert code == 0
-    assert "generates 0-jets: yes" in out
+    assert "jets:\n  s: 0\n  generates: yes\n" in out
 
 
 def test_seshadri_multipoint(capsys):
@@ -148,7 +152,7 @@ def test_mumford_command_inline(capsys):
         "--base", "0",
     )
     assert code == 0
-    assert "r1.r2 = 1/2" in out
+    assert "intersection: 1/2" in out
 
 
 def test_mumford_command_from_file(capsys):
@@ -185,6 +189,20 @@ def test_blowup_round_trip(capsys, tmp_path):
     save_surface(model, second)
     assert second.read_text() == out_path.read_text()
     assert surface_to_dict(load_surface(second)) == surface_to_dict(model)
+
+
+def test_blowup_json_format(capsys, tmp_path):
+    out_path = str(tmp_path / "blown.json")
+    code, out = run(capsys, "blowup", P2, "--point", "x", "-o", out_path, "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"output": out_path, "rank": 2, "exceptional": "E_x"}
+
+
+def test_blowup_output_directory_is_input_error(capsys, tmp_path):
+    code = main(["blowup", P2, "--point", "x", "-o", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and captured.out == ""
 
 
 def test_bundle_command(capsys):
@@ -263,3 +281,79 @@ def test_unknown_flag_is_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["reider", P2, "--line-bundle", "1", "--frobnicate"])
     assert exc.value.code == 2
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_render_text_rules():
+    payload = {
+        "verdict": "obstruction-found",
+        "ok": True,
+        "note": None,
+        "class": ["1", "-1/2"],
+        "empty": [],
+        "jets": {"s": 0, "inner": {"generates": "yes"}},
+        "trace": [{"check": "L^2 >= 5", "left": "6", "right": "5", "passed": True}],
+    }
+    assert render_text(payload) == "\n".join([
+        "verdict: obstruction-found",
+        "ok: true",
+        "note: null",
+        "class: (1, -1/2)",
+        "empty: ()",
+        "jets:",
+        "  s: 0",
+        "  inner:",
+        "    generates: yes",
+        "trace:",
+        "  - check: L^2 >= 5, left: 6, right: 5, passed: true",
+    ])
+
+
+def test_cli_prints_only_in_main():
+    tree = ast.parse(Path(cli.__file__).read_text())
+    printers = set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Call) and getattr(sub.func, "id", None) == "print":
+                printers.add(getattr(node, "name", "<module>"))
+            if isinstance(sub, ast.Attribute) and sub.attr == "stdout":
+                printers.add(getattr(node, "name", "<module>"))
+    assert printers == {"main"}
+
+
+def every_subcommand(tmp_path):
+    yield ["validate", P2]
+    yield ["validate", BAD]
+    yield ["report", P1XP1]
+    yield ["report", "--fixtures"]
+    yield ["reider", P1XP1, "--line-bundle", "1,3"]
+    yield ["seshadri", P2, "--line-bundle", "3", "--point", "x", "--jets", "0"]
+    yield ["zariski", BLP2, "--divisor", "C + 2*E"]
+    yield ["zariski", BLP2, "--divisor=-1*C"]
+    yield ["mumford", CONE, "--meet", "ruling1", "ruling2", "--base", "0"]
+    yield ["matsusaka", P2, "--line-bundle", "1"]
+    yield ["blowup", P2, "--point", "x", "-o", str(tmp_path / "blown.json")]
+    yield ["bundle", "--surface", P2, "--c1", "1", "--c2", "0", "--twist", "1",
+           "--destabilize", "--ample", "1"]
+    yield ["certify-jets", P2, "--line-bundle", "3", "-k", "1", "--divisor", "3*H",
+           "--point", "x"]
+    yield ["qcheck", P2, "--divisor", "5/2*H"]
+
+
+def test_text_and_json_carry_the_same_fields(capsys, tmp_path):
+    seen = set()
+    for argv in every_subcommand(tmp_path):
+        text_code, text = run(capsys, *argv)
+        json_code, out = run(capsys, *argv, "--format", "json")
+        assert text_code == json_code, argv
+        payload = json.loads(out)
+        top = [line.partition(":")[0] for line in text.splitlines()
+               if not line.startswith(" ")]
+        assert sorted(top) == sorted(payload), argv
+        seen.add(argv[0])
+    subparsers = next(action for action in cli.build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    assert seen == set(subparsers.choices)
