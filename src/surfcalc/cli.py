@@ -19,32 +19,16 @@ import functools
 import json
 import sys
 
-from .blowup import blow_up
-from .bundles import ChernData, destabilizer_search, discriminant, twist
+# Only the layers that parsing, loading and printing need are imported
+# here; each handler imports the rest of what it runs, so a request loads
+# no layer it does not use.  `criteria` stays eager although only `reider`
+# uses it: perfbench's tracer test wraps the surfcalc modules already in
+# sys.modules after `import surfcalc.cli`, then calls
+# surfcalc.criteria.reider_freeness.
 from .criteria import reider_freeness, reider_very_ample
-from .fixtures import fixture_catalog, fixture_path
-from .lattice import (
-    DivisorClass,
-    InvariantBreach,
-    intersect,
-    self_int,
-    validate_surface,
-)
-from .positivity import (
-    NotPseudoeffective,
-    krs_jet_certificate,
-    kv_applicability,
-    matsusaka_thresholds,
-    mumford_intersect,
-    mumford_pullback,
-    qdivisor_generation_check,
-    qdivisor_very_ample_check,
-    zariski_decompose,
-)
-from .qdivisor import class_of, parse_qdivisor, table_namespace
+from .lattice import DivisorClass, InvariantBreach, intersect, self_int, validate_surface
 from .rational import fmt_q, parse_q
 from .report import EXIT_CODES, render_text
-from .seshadri import jets_from_seshadri, multipoint_seshadri, seshadri_at_point
 from .surface_io import (
     SurfaceFormatError,
     load_resolution,
@@ -106,6 +90,8 @@ def cmd_reider(args):
 
 
 def cmd_seshadri(args):
+    from .seshadri import jets_from_seshadri, multipoint_seshadri, seshadri_at_point
+
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     if args.points:
@@ -135,6 +121,9 @@ def cmd_seshadri(args):
 
 
 def cmd_zariski(args):
+    from .positivity import NotPseudoeffective, zariski_decompose
+    from .qdivisor import class_of, parse_qdivisor, table_namespace
+
     model = _load_validated(args.surface)
     divisor = parse_qdivisor(args.divisor, table_namespace(model))
     d = class_of(model, divisor)
@@ -154,6 +143,8 @@ def cmd_zariski(args):
 
 
 def cmd_mumford(args):
+    from .positivity import mumford_intersect, mumford_pullback
+
     if args.surface:
         res = load_resolution(args.surface)
     elif args.gram is not None:
@@ -182,6 +173,8 @@ def cmd_mumford(args):
 
 
 def cmd_matsusaka(args):
+    from .positivity import matsusaka_thresholds
+
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     a = self_int(model, l)
@@ -206,6 +199,8 @@ def cmd_matsusaka(args):
 
 
 def cmd_blowup(args):
+    from .blowup import blow_up
+
     model = _load_validated(args.surface)
     bm = blow_up(model, args.point)
     save_surface(bm.result, args.output)
@@ -215,6 +210,8 @@ def cmd_blowup(args):
 
 
 def cmd_bundle(args):
+    from .bundles import ChernData, destabilizer_search, discriminant, twist
+
     model = _load_validated(args.surface)
     data = ChernData(2, parse_class(args.c1), args.c2)
     payload: dict = {
@@ -242,6 +239,9 @@ def cmd_bundle(args):
 
 
 def cmd_certify_jets(args):
+    from .positivity import krs_jet_certificate
+    from .qdivisor import parse_qdivisor, table_namespace
+
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     divisor = parse_qdivisor(args.divisor, table_namespace(model))
@@ -252,6 +252,13 @@ def cmd_certify_jets(args):
 
 
 def cmd_qcheck(args):
+    from .positivity import (
+        kv_applicability,
+        qdivisor_generation_check,
+        qdivisor_very_ample_check,
+    )
+    from .qdivisor import parse_qdivisor, table_namespace
+
     model = _load_validated(args.surface)
     divisor = parse_qdivisor(args.divisor, table_namespace(model))
     if args.very_ample:
@@ -268,6 +275,8 @@ def cmd_qcheck(args):
 
 
 def cmd_report(args):
+    from .fixtures import fixture_catalog, fixture_path
+
     if args.fixtures:
         payload = {
             "fixtures": [

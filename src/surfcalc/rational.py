@@ -50,10 +50,6 @@ def parse_q(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def is_integer(x: Fraction | int) -> bool:
-    return Fraction(x).denominator == 1
-
-
 def _gcd(a: int, b: int) -> int:
     while b:
         a, b = b, a % b

@@ -33,9 +33,12 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .lattice import CurveRecord, DivisorClass, IntersectionLattice, SurfaceModel
-from .positivity import ResolutionData, make_resolution
+
+if TYPE_CHECKING:
+    from .positivity import ResolutionData
 
 
 class SurfaceFormatError(ValueError):
@@ -173,6 +176,10 @@ def save_surface(model: SurfaceModel, path) -> None:
 
 
 def resolution_from_dict(data: dict) -> ResolutionData:
+    # positivity is imported here, not at the top: loading a surface (every
+    # CLI request) then does not pay for the Zariski and Mumford layer
+    from .positivity import make_resolution
+
     if not isinstance(data, dict) or data.get("kind") != "resolution":
         raise SurfaceFormatError("not a resolution file (kind must be 'resolution')")
     try:
