@@ -11,7 +11,6 @@ with genus 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -27,8 +26,7 @@ from .lattice import (
 )
 
 
-@dataclass(frozen=True)
-class BlowupModel:
+class BlowupModel(NamedTuple):
     base: SurfaceModel
     point: str
     result: SurfaceModel

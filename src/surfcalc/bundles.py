@@ -11,13 +11,15 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
     InvariantBreach,
     SurfaceModel,
+    _Frozen,
+    _Record,
     intersect,
     is_nef_on_table,
     self_int,
@@ -26,15 +28,15 @@ from .rational import fmt_q
 from .report import TraceLine
 
 
-@dataclass(frozen=True)
-class ChernData:
+class ChernData(_Frozen):
     """(rank, c1, c2) with c1 an integral class and c2 an integer."""
 
     rank: int
     c1: DivisorClass
     c2: int
 
-    def __post_init__(self):
+    def __init__(self, rank, c1, c2):
+        self._init(rank, c1, c2)
         if self.rank < 1:
             raise ValueError("rank must be >= 1")
         if self.rank == 1 and self.c2 != 0:
@@ -101,14 +103,12 @@ def in_positive_cone(model: SurfaceModel, alpha: DivisorClass, h: DivisorClass) 
 # destabilizer candidates
 
 
-@dataclass(frozen=True)
-class DestabilizerCandidate:
+class DestabilizerCandidate(NamedTuple):
     klass: DivisorClass
     length_z: int       # c2 - A.(c1 - A), the implied zero-scheme length
 
 
-@dataclass(frozen=True)
-class DestabilizerSearchResult:
+class DestabilizerSearchResult(NamedTuple):
     candidates: tuple[DestabilizerCandidate, ...]
     discriminant: Fraction
     bound: int
@@ -187,16 +187,20 @@ def destabilizer_search(
 FREENESS_PAIRS = ((Fraction(0), Fraction(-1)), (Fraction(1), Fraction(0)))
 
 
-@dataclass
-class ChainReport:
+class ChainReport(_Record):
     """Trace of the obstruction-divisor inequality chain for given (L, D)."""
 
     all_hold: bool
-    trace: list[TraceLine] = field(default_factory=list)
-    terminal: tuple[Fraction, Fraction] | None = None   # (L.D, D^2) when classified
-    in_window: bool = False
-    first_failure: str | None = None
-    refusal: str | None = None
+    trace: list[TraceLine]
+    terminal: tuple[Fraction, Fraction] | None   # (L.D, D^2) when classified
+    in_window: bool
+    first_failure: str | None
+    refusal: str | None
+
+    def __init__(self, all_hold, trace=None, terminal=None, in_window=False,
+                 first_failure=None, refusal=None):
+        trace = [] if trace is None else trace
+        self._init(all_hold, trace, terminal, in_window, first_failure, refusal)
 
 
 def reider_chain_verify(

@@ -7,7 +7,7 @@ a JSON payload and an exit code; `main` prints the payload, as JSON with
     0   success / criterion-holds
     10  obstruction-found
     11  inconclusive
-    12  hypotheses-fail (or not pseudoeffective, for `zariski`)
+    12  hypotheses-fail (not pseudoeffective for `zariski`, L not ample for `matsusaka`)
     2   input, parse or schema error
     3   internal invariant breach (always a bug)
 """
@@ -173,10 +173,15 @@ def cmd_mumford(args):
 
 
 def cmd_matsusaka(args):
+    from .lattice import min_intersection
     from .positivity import matsusaka_thresholds
 
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
+    lc, name = min_intersection(model, l, model.curves)
+    if lc is not None and lc <= 0:
+        error = f"L is not ample on the table: L.{name} = {fmt_q(lc)}"
+        return {"error": error}, EXIT_CODES["hypotheses-fail"]
     a = self_int(model, l)
     b = intersect(model, model.canonical + 4 * l, l)
     thresholds = matsusaka_thresholds(a, b)

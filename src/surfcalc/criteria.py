@@ -8,7 +8,7 @@ one-dimensional degree thresholds.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .lattice import (
     DivisorClass,
@@ -183,8 +183,7 @@ def numerical_global_generation(model: SurfaceModel, l: DivisorClass) -> Certifi
     return report
 
 
-@dataclass
-class FujitaReport:
+class FujitaReport(NamedTuple):
     freeness: CertificateReport        # for K + 3A
     very_ample: CertificateReport      # for K + 4A
     note: str
@@ -212,8 +211,7 @@ def fujita_adjoint(model: SurfaceModel, a: DivisorClass) -> FujitaReport:
     )
 
 
-@dataclass(frozen=True)
-class PluricanonicalStatus:
+class PluricanonicalStatus(NamedTuple):
     free: str                          # "yes" | "unknown"
     embedding_away_from_minus2: str    # "yes" | "unknown"
 
@@ -235,8 +233,7 @@ def pluricanonical_status(k2: int, m: int) -> PluricanonicalStatus:
     )
 
 
-@dataclass
-class KodairaZeroReport:
+class KodairaZeroReport(NamedTuple):
     freeness: CertificateReport
     very_ample: CertificateReport
 
@@ -334,8 +331,7 @@ def jets_length_d(
     return report
 
 
-@dataclass(frozen=True)
-class CurveBundleStatus:
+class CurveBundleStatus(NamedTuple):
     free: str          # "guaranteed" | "unknown"
     very_ample: str
 

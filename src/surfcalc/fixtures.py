@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .surface_io import load_resolution, load_surface
 
 
-@dataclass(frozen=True)
-class FixtureInfo:
+class FixtureInfo(NamedTuple):
     name: str
     filename: str
     kind: str          # "surface" | "resolution"

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import functools
 import operator
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .rational import clear_denominators, fmt_q
 
@@ -34,13 +33,52 @@ class InvariantBreach(RuntimeError):
     """An internal consistency assertion failed; always a bug."""
 
 
+class _Record:
+    """Repr and value equality (same type only) by the fields, for the
+    records that write their own __init__.  As in a dataclass, the fields
+    are the annotated attributes, in order."""
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__) or cls._fields
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+
+class _Frozen(_Record):
+    """A _Record that hashes by value and rejects assignment."""
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
 def _as_fraction_tuple(coeffs: Iterable) -> tuple[Fraction, ...]:
     # a Fraction is immutable, so one that comes in is shared, not copied
     return tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
 
 
-@dataclass(frozen=True)
-class DivisorClass:
+class DivisorClass(_Frozen):
     """Vector of exact rational coordinates in a fixed lattice basis."""
 
     coeffs: tuple[Fraction, ...]
@@ -102,8 +140,7 @@ class DivisorClass:
         return DivisorClass(coeffs)
 
 
-@dataclass(frozen=True)
-class IntersectionLattice:
+class IntersectionLattice(_Frozen):
     """rank x rank symmetric integer matrix of basis intersection numbers."""
 
     rank: int
@@ -111,8 +148,7 @@ class IntersectionLattice:
 
     def __init__(self, gram: Sequence[Sequence[int]]):
         rows = tuple(tuple(entry for entry in row) for row in gram)
-        object.__setattr__(self, "rank", len(rows))
-        object.__setattr__(self, "gram", rows)
+        self._init(len(rows), rows)
 
     def structural_errors(self) -> list[str]:
         errors = []
@@ -207,8 +243,7 @@ class IntersectionLattice:
         return n_pos, n_neg, n_zero, list(zip(vectors, diag))
 
 
-@dataclass(frozen=True)
-class CurveRecord:
+class CurveRecord(_Frozen):
     """A curve class declared effective by its presence in the table.
 
     point_mults maps point labels to mult_x(C); genus, when present, is the
@@ -218,36 +253,31 @@ class CurveRecord:
 
     name: str
     klass: DivisorClass
-    point_mults: Mapping[str, int] = field(default_factory=dict)
-    genus: int | None = None
-    ordinary: bool = True
+    point_mults: Mapping[str, int]
+    genus: int | None
+    ordinary: bool
+
+    def __init__(self, name, klass, point_mults=None, genus=None, ordinary=True):
+        # a fresh dict for each record that omits it, not one shared default
+        self._init(name, klass, {} if point_mults is None else point_mults, genus, ordinary)
 
     def mult_at(self, point: str) -> int:
         return self.point_mults.get(point, 0)
 
 
-@dataclass(frozen=True)
-class SurfaceModel:
+class SurfaceModel(_Frozen):
     """A surface's numeric shadow: lattice, canonical class, chi(O), curves."""
 
     name: str
     lattice: IntersectionLattice
     canonical: DivisorClass
     chi_O: int
-    curves: tuple[CurveRecord, ...] = ()
-    complete_through: tuple[str, ...] | None = None
+    curves: tuple[CurveRecord, ...]
+    complete_through: tuple[str, ...] | None
 
     def __init__(self, name, lattice, canonical, chi_O, curves=(), complete_through=None):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "lattice", lattice)
-        object.__setattr__(self, "canonical", canonical)
-        object.__setattr__(self, "chi_O", chi_O)
-        object.__setattr__(self, "curves", tuple(curves))
-        object.__setattr__(
-            self,
-            "complete_through",
-            None if complete_through is None else tuple(complete_through),
-        )
+        self._init(name, lattice, canonical, chi_O, tuple(curves),
+                   None if complete_through is None else tuple(complete_through))
 
     @property
     def rank(self) -> int:
@@ -277,16 +307,14 @@ class SurfaceModel:
 # validation
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
     witness: DivisorClass | None = None
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     checks: tuple[CheckResult, ...]
 
     @property
@@ -460,8 +488,7 @@ def euler_characteristic(model: SurfaceModel, d: DivisorClass) -> int:
 # table-relative positivity
 
 
-@dataclass(frozen=True)
-class NefVerdict:
+class NefVerdict(NamedTuple):
     nef: bool
     violating: str | None = None           # first offending curve, table order
     value: Fraction | None = None          # D.C for the violator
@@ -471,8 +498,7 @@ class NefVerdict:
         return self.nef
 
 
-@dataclass(frozen=True)
-class BigNefVerdict:
+class BigNefVerdict(NamedTuple):
     big_nef: bool
     nef: NefVerdict
     self_intersection: Fraction
@@ -508,8 +534,7 @@ def is_big_nef_on_table(model: SurfaceModel, d: DivisorClass) -> BigNefVerdict:
     return BigNefVerdict(bool(nef) and d2 > 0, nef, d2)
 
 
-@dataclass(frozen=True)
-class HodgeIndexResult:
+class HodgeIndexResult(NamedTuple):
     lhs: Fraction        # (L^2)(D^2)
     rhs: Fraction        # (L.D)^2
     gap: Fraction        # rhs - lhs >= 0
@@ -534,8 +559,7 @@ def hodge_index_check(model: SurfaceModel, l: DivisorClass, d: DivisorClass) -> 
 # bounded enumeration of effective table combinations
 
 
-@dataclass(frozen=True)
-class EffectiveCombination:
+class EffectiveCombination(NamedTuple):
     """A non-negative integer combination sum(n_i C_i) of table curves."""
 
     coefficients: tuple[int, ...]

@@ -11,7 +11,6 @@ floating point is allowed anywhere.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -22,6 +21,7 @@ from .lattice import (
     InvariantBreach,
     NonIntegralDivisor,
     SurfaceModel,
+    _Frozen,
     intersect,
     is_big_nef_on_table,
     is_nef_on_table,
@@ -119,8 +119,7 @@ def _is_negative_definite(gram: Sequence[Sequence[Fraction | int]]) -> bool:
 # vanishing applicability
 
 
-@dataclass(frozen=True)
-class VanishingReport:
+class VanishingReport(NamedTuple):
     big_nef: BigNefVerdict
     adjoint_class: DivisorClass     # K + round_up(M)
     applies: bool
@@ -302,8 +301,7 @@ def almost_isolated_index(d: QDivisor, k: int, point: str) -> AlmostIsolated:
 # Zariski decomposition
 
 
-@dataclass(frozen=True)
-class ZariskiDecomposition:
+class ZariskiDecomposition(NamedTuple):
     positive_part: DivisorClass
     negative_part: tuple[tuple[str, Fraction], ...]
     original: DivisorClass
@@ -380,17 +378,17 @@ def zariski_decompose(model: SurfaceModel, d: DivisorClass) -> ZariskiDecomposit
 # Mumford's Q-intersection on a normal surface
 
 
-@dataclass(frozen=True)
-class ResolutionData:
+class ResolutionData(_Frozen):
     """Resolution bookkeeping: Gram matrix of the exceptional curves and,
     per named Weil divisor, the intersections of its proper transform with
     each exceptional curve."""
 
     exceptional_gram: tuple[tuple[int, ...], ...]
     incidence: dict[str, tuple[int, ...]]
-    name: str = "resolution"
+    name: str
 
-    def __post_init__(self):
+    def __init__(self, exceptional_gram, incidence, name="resolution"):
+        self._init(exceptional_gram, incidence, name)
         k = len(self.exceptional_gram)
         for row in self.exceptional_gram:
             if len(row) != k:
@@ -560,8 +558,7 @@ class StarCondition(NamedTuple):
         return self.rho_gt_4 and self.sqrt_inequality
 
 
-@dataclass(frozen=True)
-class MatsusakaThresholds:
+class MatsusakaThresholds(NamedTuple):
     m_free: int
     m_very_ample: int
     rho: Callable[[int], Fraction]

@@ -10,21 +10,22 @@ distinct (two prime divisors can be numerically equivalent).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .lattice import DimensionMismatch, DivisorClass, SurfaceModel
+from .lattice import DimensionMismatch, DivisorClass, SurfaceModel, _Frozen
 from .rational import ceil_q, floor_q, fmt_q, parse_q
 
 
-@dataclass(frozen=True)
-class PrimeComponent:
+class PrimeComponent(_Frozen):
     """A named prime divisor with its class and point multiplicities."""
 
     name: str
     klass: DivisorClass
-    point_mults: Mapping[str, int] = field(default_factory=dict)
+    point_mults: Mapping[str, int]
+
+    def __init__(self, name, klass, point_mults=None):
+        self._init(name, klass, {} if point_mults is None else point_mults)
 
     def mult_at(self, point: str) -> int:
         return self.point_mults.get(point, 0)

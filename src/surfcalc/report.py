@@ -17,10 +17,10 @@ Exit codes for the CLI mirror the verdicts (0 / 10 / 12 / 11).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .lattice import DivisorClass
+from .lattice import DivisorClass, _Record
 from .rational import fmt_q
 
 HOLDS = "criterion-holds"
@@ -31,8 +31,7 @@ INCONCLUSIVE = "inconclusive"
 EXIT_CODES = {HOLDS: 0, OBSTRUCTION: 10, INCONCLUSIVE: 11, HYPOTHESES_FAIL: 12}
 
 
-@dataclass(frozen=True)
-class TraceLine:
+class TraceLine(NamedTuple):
     """One evaluated inequality: text, exact left/right values, outcome."""
 
     check: str
@@ -49,8 +48,7 @@ class TraceLine:
         }
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """An obstruction class with its re-verifiable numerical signature."""
 
     label: str
@@ -75,15 +73,15 @@ class Witness:
         return data
 
 
-@dataclass
-class CertificateReport:
+class CertificateReport(_Record):
     verdict: str
-    witnesses: list[Witness] = field(default_factory=list)
-    trace: list[TraceLine] = field(default_factory=list)
-    notes: list[str] = field(default_factory=list)
-    bound: int | None = None
+    witnesses: list[Witness]
+    trace: list[TraceLine]
+    notes: list[str]
+    bound: int | None
 
-    def __post_init__(self):
+    def __init__(self, verdict, witnesses=None, trace=None, notes=None, bound=None):
+        self._init(verdict, *([] if x is None else x for x in (witnesses, trace, notes)), bound)
         if self.verdict not in EXIT_CODES:
             raise ValueError(f"unknown verdict {self.verdict!r}")
         if self.verdict == OBSTRUCTION and not self.witnesses:

@@ -13,7 +13,6 @@ the best curve it contains.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -29,8 +28,7 @@ from .lattice import (
 from .qdivisor import QDivisor, class_of, mult_at
 
 
-@dataclass(frozen=True)
-class SeshadriBound:
+class SeshadriBound(NamedTuple):
     value: Fraction | None
     kind: str                       # upper-bound | exact-given-complete-table | no-data
     achieving_curve: str | None

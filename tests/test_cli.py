@@ -170,7 +170,20 @@ def test_matsusaka_command(capsys):
     code, out = run(capsys, "matsusaka", P2, "--line-bundle", "1", "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert payload["m_free"] == 2 and payload["m_very_ample"] == 4
+    assert payload == {
+        "a": "1", "b": "1", "m_free": 2, "m_very_ample": 4, "rho_at_m_free": "15",
+        "star_at_m_free": {"branch": "squared comparison", "rho_gt_4": True,
+                           "sqrt_inequality": True},
+    }
+
+
+def test_matsusaka_refuses_a_bundle_that_is_not_ample(capsys):
+    # L = -H has L^2 = 1 >= 1, but L.H = -1: the effective bound assumes L ample
+    code, out = run(capsys, "matsusaka", P2, "--line-bundle", "-1", "--format", "json")
+    assert code == 12
+    assert json.loads(out) == {"error": "L is not ample on the table: L.H = -1"}
+    code, out = run(capsys, "matsusaka", P2, "--line-bundle", "0")
+    assert code == 12 and out == "error: L is not ample on the table: L.H = 0\n"
 
 
 def test_blowup_round_trip(capsys, tmp_path):

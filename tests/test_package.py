@@ -2,6 +2,7 @@
 eager `__init__` used to import, and a CLI request loads only the layers
 its subcommand runs."""
 
+import ast
 import importlib
 import json
 import os
@@ -110,7 +111,8 @@ def test_unknown_name_raises_attribute_error():
 
 
 def _cli_modules(argv):
-    """The surfcalc.* modules one CLI process has loaded when it exits."""
+    """The surfcalc.* modules one CLI process has loaded when it exits, and
+    `dataclasses` if that is loaded too."""
     code = (
         "import json, runpy, sys\n"
         f"sys.argv = ['surfcalc', *{argv!r}]\n"
@@ -118,7 +120,8 @@ def _cli_modules(argv):
         "    runpy.run_module('surfcalc.cli', run_name='__main__')\n"
         "except SystemExit:\n"
         "    pass\n"
-        "loaded = sorted(k for k in sys.modules if k.startswith('surfcalc.'))\n"
+        "loaded = sorted(k for k in sys.modules\n"
+        "                if k.startswith('surfcalc.') or k == 'dataclasses')\n"
         "print(json.dumps(loaded))\n"
     )
     return set(json.loads(_fresh(code).splitlines()[-1]))
@@ -131,9 +134,42 @@ def test_validate_request_loads_no_deferred_layer():
     loaded = _cli_modules(["validate", str(FIXTURES / "p2.json")])
     assert {"surfcalc.lattice", "surfcalc.surface_io", "surfcalc.criteria"} <= loaded
     assert not loaded & {f"surfcalc.{m}" for m in DEFERRED}
+    assert "dataclasses" not in loaded
 
 
 def test_zariski_request_loads_positivity():
     loaded = _cli_modules(["zariski", str(FIXTURES / "p2.json"), "--divisor", "H"])
     assert "surfcalc.positivity" in loaded
     assert not loaded & {"surfcalc.bundles", "surfcalc.blowup", "surfcalc.seshadri"}
+    assert "dataclasses" not in loaded
+
+
+@pytest.mark.parametrize("argv, layer", [
+    (["reider", str(FIXTURES / "p1xp1.json"), "--line-bundle", "3,3"], "surfcalc.criteria"),
+    (["bundle", "--surface", str(FIXTURES / "p2.json"), "--c1", "1", "--c2", "0",
+      "--destabilize", "--ample", "1"], "surfcalc.bundles"),
+], ids=["reider", "bundle-destabilize"])
+def test_request_imports_no_dataclasses(argv, layer):
+    # next to the validate and zariski requests above: a criterion run, and
+    # a request that loads the bundle layer
+    loaded = _cli_modules(argv)
+    assert layer in loaded
+    assert "dataclasses" not in loaded
+
+
+def test_no_module_imports_dataclasses():
+    """Records are NamedTuples or small plain classes.  Importing
+    `dataclasses` (it loads inspect, ast and tokenize) and building a class
+    with it each cost a CLI request time on every run."""
+    importers = []
+    for source in sorted(Path(surfcalc.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.partition(".")[0] == "dataclasses" for m in modules):
+                importers.append(source.stem)
+    assert importers == []
