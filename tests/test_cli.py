@@ -1,7 +1,11 @@
 import argparse
 import ast
+import gc
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,6 +20,7 @@ P2 = str(fixture_path("p2"))
 BAD = str(fixture_path("bad_signature"))
 CONE = str(fixture_path("quadric_cone"))
 BLP2 = str(fixture_path("blp2"))
+A2_CHAIN = str(fixture_path("a2_chain"))
 
 
 def run(capsys, *argv):
@@ -51,7 +56,8 @@ def test_reider_hypotheses_fail_exit_code(capsys):
     assert code == 12
 
 
-def test_reider_inconclusive_exit_code(capsys, tmp_path):
+def open_p2(tmp_path):
+    """p2 with no completeness declaration, saved under tmp_path."""
     model = load_surface(P2)
     from surfcalc import SurfaceModel
     from surfcalc.surface_io import save_surface
@@ -61,7 +67,11 @@ def test_reider_inconclusive_exit_code(capsys, tmp_path):
     )
     path = tmp_path / "open.json"
     save_surface(open_model, path)
-    code, _ = run(capsys, "reider", str(path), "--line-bundle", "3")
+    return str(path)
+
+
+def test_reider_inconclusive_exit_code(capsys, tmp_path):
+    code, _ = run(capsys, "reider", open_p2(tmp_path), "--line-bundle", "3")
     assert code == 11
 
 
@@ -124,6 +134,14 @@ def test_seshadri_multipoint(capsys):
     assert code == 0
 
 
+def test_seshadri_point_and_points_exclude_each_other(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["seshadri", P2, "--line-bundle", "1", "--point", "x", "--points", "x,y"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("error: argument --points: not allowed with argument --point\n")
+
+
 def test_zariski_command(capsys):
     code, out = run(capsys, "zariski", BLP2, "--divisor", "C + 2*E")
     assert code == 0
@@ -155,6 +173,14 @@ def test_mumford_command_inline(capsys):
     assert "intersection: 1/2" in out
 
 
+def test_unknown_name_error_is_not_quoted(capsys):
+    # the resolution lookup raises KeyError, whose str() adds quotes
+    code = main(["mumford", A2_CHAIN, "--meet", "D", "E", "--base", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: no divisor named 'E' in resolution data\n"
+
+
 def test_mumford_command_from_file(capsys):
     code, out = run(
         capsys, "mumford", CONE, "--meet", "ruling1", "ruling2", "--base", "0",
@@ -184,6 +210,18 @@ def test_matsusaka_refuses_a_bundle_that_is_not_ample(capsys):
     assert json.loads(out) == {"error": "L is not ample on the table: L.H = -1"}
     code, out = run(capsys, "matsusaka", P2, "--line-bundle", "0")
     assert code == 12 and out == "error: L is not ample on the table: L.H = 0\n"
+
+
+def test_matsusaka_refuses_an_empty_table(capsys, tmp_path):
+    # with no table curve, L = -H and L = H cannot be told apart
+    data = json.loads(Path(P2).read_text())
+    data["curves"] = []
+    path = tmp_path / "bare.json"
+    path.write_text(json.dumps(data))
+    error = "error: cannot check that L is ample: the curve table is empty\n"
+    for line_bundle in ("-1", "1"):
+        code, out = run(capsys, "matsusaka", str(path), "--line-bundle", line_bundle)
+        assert code == 12 and out == error
 
 
 def test_blowup_round_trip(capsys, tmp_path):
@@ -370,3 +408,91 @@ def test_text_and_json_carry_the_same_fields(capsys, tmp_path):
     subparsers = next(action for action in cli.build_parser()._actions
                        if isinstance(action, argparse._SubParsersAction))
     assert seen == set(subparsers.choices)
+
+
+# ---------------------------------------------------------------------------
+# the process entry point
+
+
+def spawn(args, cwd):
+    """Start `python <args>` in cwd with this checkout's package first on
+    the path."""
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.Popen([sys.executable, *args], cwd=cwd, env=env, text=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def finish(child):
+    out, err = child.communicate(timeout=60)
+    return child.returncode, out, err
+
+
+def in_process(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as stop:
+        code = stop.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_process_exits_like_main(capsys, tmp_path, monkeypatch):
+    requests = [
+        ["blowup", P2, "--point", "x", "-o", "blown.json"],                   # 0
+        ["reider", P1XP1, "--line-bundle", "1,3"],                            # 10
+        ["reider", open_p2(tmp_path), "--line-bundle", "3", "--format", "json"],  # 11
+        ["matsusaka", P2, "--line-bundle", "-1"],                             # 12
+        ["reider", P2, "--line-bundle", "1", "--frobnicate"],                 # argparse
+        ["mumford", A2_CHAIN, "--meet", "D", "E", "--base", "0"],             # input
+    ]
+    child_dir, own_dir = tmp_path / "child", tmp_path / "own"
+    child_dir.mkdir()
+    own_dir.mkdir()
+    children = [spawn(["-m", "surfcalc.cli", *argv], child_dir) for argv in requests]
+    monkeypatch.chdir(own_dir)
+    codes = []
+    for argv, child in zip(requests, children):
+        expected = in_process(capsys, argv)
+        assert finish(child) == expected, argv
+        codes.append(expected[0])
+    assert codes == [0, 10, 11, 12, 2, 2]
+    assert (child_dir / "blown.json").read_text() == (own_dir / "blown.json").read_text()
+
+
+def test_process_exit_freezes_and_runs_atexit(tmp_path):
+    # an atexit handler sees the heap frozen on every way out of `run`
+    def child(argv, patch=""):
+        code = (
+            "import atexit, gc, sys\n"
+            "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+            f"sys.argv = ['surfcalc', *{argv!r}]\n"
+            "from surfcalc import cli\n"
+            f"{patch}"
+            "cli.run()\n"
+        )
+        return spawn(["-c", code], tmp_path)
+
+    children = [
+        child(["validate", P2]),
+        child(["validate"]),
+        child(["validate", P2], "cli.main = lambda: 1 // 0\n"),
+    ]
+    (ok, ok_out, _), (usage, usage_out, _), (crash, crash_out, crash_err) = map(
+        finish, children)
+    assert ok == 0 and ok_out.startswith("surface: p2\nok: true\n")
+    assert ok_out.endswith("\nfrozen True\n")
+    assert usage == 2 and usage_out == "frozen True\n"
+    assert crash == 1 and crash_out == "frozen True\n"
+    assert crash_err.rstrip().endswith("ZeroDivisionError: integer division or modulo by zero")
+
+
+def test_main_leaves_gc_state_alone(capsys, tmp_path):
+    before = gc.get_freeze_count(), gc.isenabled()
+    for argv in every_subcommand(tmp_path):
+        main(argv)
+    with pytest.raises(SystemExit):
+        main(["validate"])
+    capsys.readouterr()
+    assert (gc.get_freeze_count(), gc.isenabled()) == before
