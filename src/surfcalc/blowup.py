@@ -52,7 +52,8 @@ def blow_up(model: SurfaceModel, point: str) -> BlowupModel:
     curves = []
     for record in model.curves:
         m = record.mult_at(point)
-        klass = DivisorClass(tuple(record.klass.coeffs) + (Fraction(-m),))
+        # a valid model's classes are integral
+        klass = DivisorClass._from_ints(record.klass.ints + (-m,))
         mults = {p: v for p, v in record.point_mults.items() if p != point}
         if record.genus is None:
             genus = None
@@ -72,7 +73,7 @@ def blow_up(model: SurfaceModel, point: str) -> BlowupModel:
     result = SurfaceModel(
         name=f"{model.name}_bl_{point}",
         lattice=lattice,
-        canonical=DivisorClass(tuple(model.canonical.coeffs) + (Fraction(1),)),
+        canonical=DivisorClass._from_ints(model.canonical.ints + (1,)),
         chi_O=model.chi_O,
         curves=curves,
         # new (-1)-curves can enter the effective cone, so completeness
@@ -86,14 +87,15 @@ def pullback(bm: BlowupModel, d: DivisorClass) -> DivisorClass:
     """f*D: append exceptional coefficient 0."""
     if d.rank != bm.base.rank:
         raise DimensionMismatch(f"expected a rank-{bm.base.rank} class on the base")
-    return DivisorClass(tuple(d.coeffs) + (Fraction(0),))
+    return DivisorClass._from_ints(d.ints + (0,), d.denominator)
 
 
 def pushforward(bm: BlowupModel, d: DivisorClass) -> DivisorClass:
     """f_*D': drop the exceptional coordinate (inverse to pullback)."""
     if d.rank != bm.result.rank:
         raise DimensionMismatch(f"expected a rank-{bm.result.rank} class on the blow-up")
-    return DivisorClass(d.coeffs[: bm.exceptional_index] + d.coeffs[bm.exceptional_index + 1 :])
+    i = bm.exceptional_index
+    return DivisorClass._from_ints(d.ints[:i] + d.ints[i + 1 :], d.denominator)
 
 
 class JetTwist(NamedTuple):

@@ -155,8 +155,8 @@ def destabilizer_search(
 
     disc = discriminant(model, e)
     gram = model.lattice.gram
-    c1 = [x.numerator for x in e.c1.coeffs]     # c1 is integral
-    _, h_int = h._scaled
+    c1 = e.c1.ints      # c1 is integral
+    h_int = h.ints      # a positive multiple of H
     g_c1 = [sum(map(operator.mul, row, c1)) for row in gram]
     g_h = [sum(map(operator.mul, row, h_int)) for row in gram]
     c1_c1 = sum(map(operator.mul, c1, g_c1))
@@ -173,7 +173,7 @@ def destabilizer_search(
         if length < 0:
             continue
         candidates.append(
-            DestabilizerCandidate(DivisorClass(coeffs), _integral(length, "length(Z)"))
+            DestabilizerCandidate(DivisorClass._from_ints(coeffs), _integral(length, "length(Z)"))
         )
     return DestabilizerSearchResult(
         tuple(candidates), disc, coeff_bound, inconclusive=(disc > 0 and not candidates)

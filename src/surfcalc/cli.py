@@ -52,6 +52,18 @@ def parse_class(text: str) -> DivisorClass:
         raise SurfaceFormatError(f"bad class literal {text!r}: {err}") from None
 
 
+def point_label(text: str) -> str:
+    """argparse type of a --point value: a label is never empty."""
+    if not text:
+        raise argparse.ArgumentTypeError("a point label cannot be empty")
+    return text
+
+
+def point_labels(text: str) -> list[str]:
+    """argparse type of --points: comma-separated labels, none empty."""
+    return [point_label(part.strip()) for part in text.split(",")]
+
+
 def _load_validated(path):
     model = load_surface(path)
     report = validate_surface(model)
@@ -99,8 +111,7 @@ def cmd_seshadri(args):
     model = _load_validated(args.surface)
     l = parse_class(args.line_bundle)
     if args.points:
-        points = [p.strip() for p in args.points.split(",")]
-        bound = multipoint_seshadri(model, l, points, args.bound)
+        bound = multipoint_seshadri(model, l, args.points, args.bound)
     elif args.point:
         bound = seshadri_at_point(model, l, args.point, args.bound)
     else:
@@ -149,6 +160,10 @@ def cmd_zariski(args):
 def cmd_mumford(args):
     from .positivity import mumford_intersect, mumford_pullback
 
+    if args.surface and (args.gram is not None or args.incidence):
+        raise SurfaceFormatError(
+            "mumford takes a resolution file or --gram and --incidence, not both"
+        )
     if args.surface:
         res = load_resolution(args.surface)
     elif args.gram is not None:
@@ -161,6 +176,8 @@ def cmd_mumford(args):
             name, _, vector = item.partition("=")
             if not vector:
                 raise SurfaceFormatError(f"bad incidence {item!r}; use name=v1,v2,...")
+            if name in incidence:
+                raise SurfaceFormatError(f"incidence of {name!r} given twice")
             incidence[name] = [int(x) for x in vector.split(",")]
         res = resolution_from_dict(
             {"kind": "resolution", "exceptional_gram": gram, "incidence": incidence}
@@ -302,17 +319,24 @@ def cmd_report(args):
     if not args.surface:
         raise SurfaceFormatError("report needs a surface file or --fixtures")
     model = load_surface(args.surface)
+    report = validate_surface(model)
+
+    def square(d):
+        # a structurally broken surface (a short Gram row, a class of the
+        # wrong rank) has no intersection numbers
+        return fmt_q(self_int(model, d)) if report.structural_ok else None
+
     payload = {
         "name": model.name,
         "rank": model.rank,
-        "valid": validate_surface(model).ok,
-        "K2": fmt_q(self_int(model, model.canonical)),
+        "valid": report.ok,
+        "K2": square(model.canonical),
         "chi_O": model.chi_O,
         "curves": [
             {
                 "name": c.name,
                 "class": _coeffs(c.klass),
-                "self_intersection": fmt_q(self_int(model, c.klass)),
+                "self_intersection": square(c.klass),
                 "genus": c.genus,
             }
             for c in model.curves
@@ -351,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reider", help="adjoint freeness / very-ampleness obstructions")
     common(p)
     p.add_argument("--line-bundle", required=True, help='class, e.g. "1,3"')
-    p.add_argument("--point", default=None, help="restrict to classes through this label")
+    p.add_argument("--point", type=point_label, default=None,
+                   help="restrict to classes through this label")
     p.add_argument("--very-ample", action="store_true")
     p.add_argument("--bound", type=int, default=3)
     p.set_defaults(handler=cmd_reider)
@@ -360,8 +385,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--line-bundle", required=True)
     where = p.add_mutually_exclusive_group()
-    where.add_argument("--point", default=None)
-    where.add_argument("--points", default=None, help="comma-separated labels")
+    where.add_argument("--point", type=point_label, default=None)
+    where.add_argument("--points", type=point_labels, default=None,
+                       help="comma-separated labels")
     p.add_argument("--bound", type=int, default=3,
                    help="must be >= 1; the value does not depend on it, since "
                    "only single table curves are scored")
@@ -391,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("blowup", help="blow up at a point label")
     common(p)
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", type=point_label, required=True)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(handler=cmd_blowup)
 
@@ -411,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--line-bundle", required=True)
     p.add_argument("-k", type=int, required=True)
     p.add_argument("--divisor", required=True, help="Q-divisor literal over table names")
-    p.add_argument("--point", required=True)
+    p.add_argument("--point", type=point_label, required=True)
     p.add_argument("-s", type=int, default=0)
     p.add_argument("--ample-asserted", action="store_true")
     p.set_defaults(handler=cmd_certify_jets)

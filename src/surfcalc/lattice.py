@@ -16,7 +16,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .rational import clear_denominators, fmt_q
+from .rational import _gcd, clear_denominators, fmt_q
 
 COMPLETE_EVERYWHERE = "*"
 
@@ -73,35 +73,54 @@ class _Frozen(_Record):
     __delattr__ = __setattr__
 
 
-def _as_fraction_tuple(coeffs: Iterable) -> tuple[Fraction, ...]:
-    # a Fraction is immutable, so one that comes in is shared, not copied
-    return tuple(c if type(c) is Fraction else Fraction(c) for c in coeffs)
-
-
 class DivisorClass(_Frozen):
-    """Vector of exact rational coordinates in a fixed lattice basis."""
+    """Vector of exact rational coordinates in a fixed lattice basis.
 
-    coeffs: tuple[Fraction, ...]
+    Stored once, as integers `ints` over one positive `denominator`, in
+    lowest terms: coordinate i is ints[i] / denominator.  Arithmetic,
+    equality, hashing and the Gram pairing run on that integer form;
+    `coeffs` is a cached view of it as Fractions."""
+
+    coeffs: tuple[Fraction, ...]    # the record's one field: the cached view below
 
     def __init__(self, coeffs: Iterable):
-        object.__setattr__(self, "coeffs", _as_fraction_tuple(coeffs))
+        # the least common denominator of coordinates in lowest terms leaves
+        # the scaled vector in lowest terms too
+        d, ints = clear_denominators([c if type(c) is int else Fraction(c) for c in coeffs])
+        object.__setattr__(self, "ints", tuple(ints))
+        object.__setattr__(self, "denominator", d)
+
+    @classmethod
+    def _from_ints(cls, ints: Iterable[int], denominator: int = 1) -> "DivisorClass":
+        """The class ints / denominator (any denominator > 0), stored in
+        lowest terms."""
+        ints = tuple(ints)
+        if denominator > 1:
+            g = functools.reduce(_gcd, map(abs, ints), denominator)
+            ints, denominator = tuple(x // g for x in ints), denominator // g
+        klass = object.__new__(cls)
+        object.__setattr__(klass, "ints", ints)
+        object.__setattr__(klass, "denominator", denominator)
+        return klass
+
+    @functools.cached_property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        d = self.denominator
+        return tuple(Fraction(x, d) for x in self.ints)
 
     @property
     def rank(self) -> int:
-        return len(self.coeffs)
-
-    @functools.cached_property
-    def _scaled(self) -> tuple[int, list[int]]:
-        """(d, d * coeffs): a common denominator d > 0 of the coordinates
-        (the least one unless set by effective_combinations) and the integer
-        vector it clears them to."""
-        return clear_denominators(self.coeffs)
+        return len(self.ints)
 
     def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
+        return self.denominator == 1
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.ints)
+
+    def _values(self) -> tuple:
+        # equality and hashing compare the stored form, not the Fraction view
+        return self.denominator, self.ints
 
     def _check_same_rank(self, other: "DivisorClass") -> None:
         if self.rank != other.rank:
@@ -111,18 +130,22 @@ class DivisorClass(_Frozen):
 
     def __add__(self, other: "DivisorClass") -> "DivisorClass":
         self._check_same_rank(other)
-        return DivisorClass(a + b for a, b in zip(self.coeffs, other.coeffs))
+        da, db = self.denominator, other.denominator
+        return DivisorClass._from_ints(
+            (a * db + b * da for a, b in zip(self.ints, other.ints)), da * db
+        )
 
     def __sub__(self, other: "DivisorClass") -> "DivisorClass":
-        self._check_same_rank(other)
-        return DivisorClass(a - b for a, b in zip(self.coeffs, other.coeffs))
+        return self + -other
 
     def __neg__(self) -> "DivisorClass":
-        return DivisorClass(-a for a in self.coeffs)
+        return DivisorClass._from_ints((-a for a in self.ints), self.denominator)
 
     def __mul__(self, scalar) -> "DivisorClass":
         s = Fraction(scalar)
-        return DivisorClass(s * a for a in self.coeffs)
+        return DivisorClass._from_ints(
+            (s.numerator * a for a in self.ints), s.denominator * self.denominator
+        )
 
     __rmul__ = __mul__
 
@@ -179,13 +202,12 @@ class IntersectionLattice(_Frozen):
                 f"classes of rank {a.rank}/{b.rank} on a rank-{self.rank} lattice"
             )
         # a.b = (da*a).(db*b) / (da*db): the Gram form runs on ints only
-        da, va = a._scaled
-        db, vb = b._scaled
+        vb = b.ints
         total = 0
-        for ai, row in zip(va, self.gram):
+        for ai, row in zip(a.ints, self.gram):
             if ai:
                 total += ai * sum(map(operator.mul, row, vb))
-        return Fraction(total, da * db)
+        return Fraction(total, a.denominator * b.denominator)
 
     def inertia(self) -> tuple[int, int, int, list[tuple[DivisorClass, Fraction]]]:
         """Exact inertia (n_pos, n_neg, n_zero) of the Gram matrix.
@@ -418,17 +440,17 @@ def validate_surface(model: SurfaceModel) -> ValidationReport:
     # canonical class is characteristic: e_i^2 = e_i.K (mod 2), which forces
     # D^2 + D.K even for every integral D
     parity_ok = True
-    for i in range(lattice.rank):
-        e = DivisorClass.basis(lattice.rank, i)
-        if (lattice.pair(e, e) - lattice.pair(e, model.canonical)) % 2 != 0:
+    k = model.canonical.ints
+    for i, row in enumerate(lattice.gram):
+        e2, ek = row[i], sum(map(operator.mul, row, k))
+        if (e2 - ek) % 2 != 0:
             parity_ok = False
             checks.append(
                 CheckResult(
                     "parity",
                     False,
-                    f"basis class e_{i}: e^2 = {fmt_q(lattice.pair(e, e))} and "
-                    f"e.K = {fmt_q(lattice.pair(e, model.canonical))} differ mod 2",
-                    e,
+                    f"basis class e_{i}: e^2 = {e2} and e.K = {ek} differ mod 2",
+                    DivisorClass.basis(lattice.rank, i),
                 )
             )
             break
@@ -595,15 +617,17 @@ def effective_combinations(
     # class sum(n_i C_i) kept as integers over one common denominator: a
     # digit that goes up adds C_i, a digit that rolls over from the bound to
     # 0 subtracts bound * C_i
-    denom, flat = clear_denominators(
-        [c for record in model.curves for c in record.klass.coeffs]
-    )
-    rank = model.rank
-    steps = [flat[i * rank:(i + 1) * rank] for i in range(len(names))]
+    denom = 1
+    for record in model.curves:
+        q = record.klass.denominator
+        denom = denom // _gcd(denom, q) * q
+    steps = [
+        [x * (denom // record.klass.denominator) for x in record.klass.ints]
+        for record in model.curves
+    ]
     rollovers = [[coeff_bound * x for x in step] for step in steps]
-    to_fraction = functools.cache(functools.partial(Fraction, denominator=denom))
     coeffs = [0] * len(names)
-    total = [0] * rank
+    total = [0] * model.rank
     while True:
         i = len(coeffs) - 1
         while i >= 0 and coeffs[i] == coeff_bound:
@@ -614,8 +638,5 @@ def effective_combinations(
             return
         coeffs[i] += 1
         total = [t + x for t, x in zip(total, steps[i])]
-        klass = DivisorClass(map(to_fraction, total))
-        # hand over the integer form already at hand: pair reads it from
-        # the cache and never clears this class's denominators
-        klass.__dict__["_scaled"] = (denom, total)
+        klass = DivisorClass._from_ints(total, denom)
         yield EffectiveCombination(tuple(coeffs), klass, names)

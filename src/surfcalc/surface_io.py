@@ -35,7 +35,13 @@ import json
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .lattice import CurveRecord, DivisorClass, IntersectionLattice, SurfaceModel
+from .lattice import (
+    CurveRecord,
+    DivisorClass,
+    IntersectionLattice,
+    NonIntegralDivisor,
+    SurfaceModel,
+)
 
 if TYPE_CHECKING:
     from .positivity import ResolutionData
@@ -135,19 +141,27 @@ def _curve_from_dict(entry, index: int) -> CurveRecord:
     )
 
 
+def _stored_ints(klass: DivisorClass, what: str) -> list[int]:
+    # the schema stores integers: truncating a rational class would save
+    # another surface
+    if not klass.is_integral():
+        raise NonIntegralDivisor(f"cannot save {what} {klass!r}: it is not integral")
+    return list(klass.ints)
+
+
 def surface_to_dict(model: SurfaceModel) -> dict:
     data = {
         "name": model.name,
         "rank": model.rank,
         "gram": [list(row) for row in model.lattice.gram],
-        "canonical": [int(c) for c in model.canonical.coeffs],
+        "canonical": _stored_ints(model.canonical, "canonical class"),
         "chi_O": model.chi_O,
         "curves": [],
     }
     for record in model.curves:
         entry: dict = {
             "name": record.name,
-            "class": [int(c) for c in record.klass.coeffs],
+            "class": _stored_ints(record.klass, f"class of curve {record.name!r}"),
         }
         if record.genus is not None:
             entry["genus"] = record.genus

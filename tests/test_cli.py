@@ -142,6 +142,25 @@ def test_seshadri_point_and_points_exclude_each_other(capsys):
     assert err.endswith("error: argument --points: not allowed with argument --point\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["seshadri", P1XP1, "--line-bundle", "1,1", "--points", "x,"],
+    ["seshadri", P1XP1, "--line-bundle", "1,1", "--points", " , x"],
+    ["seshadri", P1XP1, "--line-bundle", "1,1", "--point", ""],
+    ["reider", P1XP1, "--line-bundle", "1,1", "--point", ""],
+    ["blowup", P2, "--point", "", "-o", "never-written.json"],
+    ["certify-jets", P2, "--line-bundle", "1", "-k", "1", "--divisor", "N", "--point", ""],
+], ids=["points-trailing", "points-leading", "seshadri", "reider", "blowup", "certify-jets"])
+def test_empty_point_label_is_error(capsys, argv):
+    # `--points "x,"` used to score "" as a second point, with exit 0
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    option = "--points" if "--points" in argv else "--point"
+    assert capsys.readouterr().err.endswith(
+        f"error: argument {option}: a point label cannot be empty\n"
+    )
+
+
 def test_zariski_command(capsys):
     code, out = run(capsys, "zariski", BLP2, "--divisor", "C + 2*E")
     assert code == 0
@@ -179,6 +198,29 @@ def test_unknown_name_error_is_not_quoted(capsys):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == "error: no divisor named 'E' in resolution data\n"
+
+
+@pytest.mark.parametrize("inline", [
+    ["--gram", "[[-3]]", "--incidence", "D=1"],
+    ["--incidence", "D=1"],
+], ids=["gram", "incidence"])
+def test_mumford_file_and_inline_input_exclude_each_other(capsys, inline):
+    # the file used to win silently: it printed the file's 2/3
+    code = main(["mumford", A2_CHAIN, *inline, "--meet", "D", "D", "--base", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == (
+        "error: mumford takes a resolution file or --gram and --incidence, not both\n"
+    )
+
+
+def test_mumford_repeated_incidence_name_is_error(capsys):
+    # the last vector used to win silently, giving intersection 2
+    code = main(["mumford", "--gram", "[[-3]]", "--incidence", "D=1", "--incidence", "D=2",
+                 "--meet", "D", "D", "--base", "0"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: incidence of 'D' given twice\n"
 
 
 def test_mumford_command_from_file(capsys):
@@ -326,6 +368,23 @@ def test_report_surface(capsys):
     payload = json.loads(out)
     assert payload["rank"] == 2 and payload["valid"] is True
     assert payload["K2"] == "8"
+
+
+@pytest.mark.parametrize("change", [
+    {"gram": [[0, 1], [1]]},
+    {"canonical": [-2]},
+], ids=["short-gram-row", "wrong-rank-canonical"])
+def test_report_prints_no_intersection_number_for_a_broken_surface(capsys, tmp_path, change):
+    data = dict(json.loads(Path(P1XP1).read_text()), **change)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(data))
+    code, out = run(capsys, "report", str(path), "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    code, good = run(capsys, "report", P1XP1, "--format", "json")
+    assert list(payload) == list(json.loads(good))
+    assert payload["valid"] is False and payload["K2"] is None
+    assert payload["curves"] and all(c["self_intersection"] is None for c in payload["curves"])
 
 
 def test_unknown_flag_is_error(capsys):

@@ -1,12 +1,15 @@
 """Differential tests of the integer hot paths against plain Fraction
-references kept here: the Gram pairing, the enumeration of table
-combinations and the criteria witnesses and Seshadri minimum built on
-them, the destabilizer scan, solve_exact, the negative-definiteness test
-and the Mumford product."""
+references kept here: DivisorClass arithmetic, the Gram pairing, the
+enumeration of table combinations and the criteria witnesses and
+Seshadri minimum built on them, the destabilizer scan, solve_exact, the
+negative-definiteness test and the Mumford product."""
 
+import ast
 import itertools
+import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -31,6 +34,7 @@ from surfcalc import (
     reider_very_ample,
     seshadri_at_point,
 )
+from surfcalc import lattice as lattice_module
 from surfcalc.lattice import effective_combinations
 from surfcalc.positivity import _is_negative_definite, make_resolution, solve_exact
 from surfcalc.report import HYPOTHESES_FAIL, OBSTRUCTION
@@ -76,6 +80,127 @@ def test_pair_matches_reference(rational):
             assert type(value) is Fraction
             assert value == reference_pair(lattice.gram, a, b)
             assert lattice.pair(a, a) == reference_pair(lattice.gram, a, a)
+
+
+# ---------------------------------------------------------------------------
+# DivisorClass, stored as integers over one denominator, against the
+# Fraction tuple it stands for
+
+
+def reference_repr(coords):
+    return "(" + ", ".join(
+        str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        for x in coords
+    ) + ")"
+
+
+def random_coords(rng, rank):
+    """Small numerators over small denominators, so that sums often reduce."""
+    return tuple(
+        Fraction(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 4, 6))) for _ in range(rank)
+    )
+
+
+def check_class(klass, coords):
+    """klass is the rational vector `coords`, stored in lowest terms."""
+    assert type(klass) is DivisorClass
+    assert klass.coeffs == coords
+    assert all(type(x) is Fraction for x in klass.coeffs)
+    assert klass.rank == len(coords)
+    assert klass.is_integral() == all(x.denominator == 1 for x in coords)
+    assert klass.is_zero() == all(x == 0 for x in coords)
+    assert repr(klass) == reference_repr(coords)
+    d = klass.denominator
+    assert type(d) is int and d > 0 and all(type(x) is int for x in klass.ints)
+    assert tuple(Fraction(x, d) for x in klass.ints) == coords
+    assert math.gcd(d, *klass.ints) == 1
+    again = DivisorClass(coords)
+    assert klass == again and hash(klass) == hash(again) and len({klass, again}) == 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 5, 17])
+def test_divisor_class_matches_fraction_reference(rank):
+    rng = random.Random(f"divisor-class:{rank}")
+    lattice = IntersectionLattice(random_symmetric(rng, rank))
+    for _ in range(60):
+        x, y = random_coords(rng, rank), random_coords(rng, rank)
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+        a, b = DivisorClass(x), DivisorClass(iter(y))
+        check_class(a, x)
+        check_class(b, y)
+        check_class(a + b, tuple(p + q for p, q in zip(x, y)))
+        check_class(a - b, tuple(p - q for p, q in zip(x, y)))
+        check_class(-a, tuple(-p for p in x))
+        check_class(s * a, tuple(s * p for p in x))
+        check_class(a * s, tuple(s * p for p in x))
+        check_class(2 * a, tuple(2 * p for p in x))
+        check_class(a + b - b, x)
+        assert (a == b) == (x == y)
+        assert lattice.pair(a, b) == reference_pair(lattice.gram, a, b)
+        assert type(lattice.pair(a, b)) is Fraction
+
+
+def test_divisor_class_reduces_and_accepts_every_literal():
+    half = DivisorClass([Fraction(1, 2), Fraction(-3, 2)])
+    assert (half.ints, half.denominator) == ((1, -3), 2)
+    whole = half + half
+    check_class(whole, (Fraction(1), Fraction(-3)))
+    assert (whole.ints, whole.denominator) == ((1, -3), 1) and whole.is_integral()
+    check_class(half - half, (Fraction(0), Fraction(0)))
+    assert (half - half).denominator == 1 and (half - half).is_zero()
+    check_class(Fraction(2, 3) * DivisorClass([3, 6]), (Fraction(2), Fraction(4)))
+    check_class(DivisorClass.zero(3), (Fraction(0),) * 3)
+    check_class(DivisorClass.basis(3, 1), (Fraction(0), Fraction(1), Fraction(0)))
+    check_class(DivisorClass([]), ())
+    # the public constructor takes whatever Fraction() takes, mixed freely
+    check_class(DivisorClass([1, Fraction(2, 4), "-3/6", True]),
+                (Fraction(1), Fraction(1, 2), Fraction(-1, 2), Fraction(1)))
+    assert DivisorClass([1, 2]) != DivisorClass([1, 2, 0])
+    assert DivisorClass([1, 2]) != (Fraction(1), Fraction(2))
+
+
+def test_effective_combinations_store_rational_classes_in_lowest_terms():
+    # C0 + C1 = (1, 1): the sum over the common denominator 6 must reduce
+    model = diag_surface([1, -1], [-3, 1], curves=[
+        CurveRecord("C0", DivisorClass([Fraction(1, 2), Fraction(1, 3)])),
+        CurveRecord("C1", DivisorClass([Fraction(1, 2), Fraction(2, 3)])),
+    ])
+    tables = [model] + [random_table(seed)[0] for seed in TABLES if seed % 3 == 2]
+    for table in tables:
+        reference = reference_combinations(table, 2)
+        got = list(effective_combinations(table, 2))
+        assert [c.coefficients for c in got] == [r[0] for r in reference]
+        for combo, (_, coords, _) in zip(got, reference):
+            check_class(combo.klass, coords)
+    by_coeffs = {c.coefficients: c.klass for c in effective_combinations(model, 2)}
+    assert (by_coeffs[(1, 1)].ints, by_coeffs[(1, 1)].denominator) == ((1, 1), 1)
+    assert by_coeffs[(2, 0)].coeffs == (Fraction(1), Fraction(2, 3))
+
+
+def _writes_into_dict(node):
+    """obj.__dict__[k] = v, vars(obj)[k] = v, obj.__dict__.update(...) and
+    the like."""
+    if isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+        owner = node.value
+    elif isinstance(node, ast.Call) and getattr(node.func, "attr", None) in (
+        "update", "setdefault", "pop", "__setitem__"
+    ):
+        owner = node.func.value
+    else:
+        return False
+    return (getattr(owner, "attr", None) == "__dict__"
+            or getattr(getattr(owner, "func", None), "id", None) == "vars")
+
+
+def test_no_module_reaches_into_a_class_cache():
+    # one stored form: no module names the old `_scaled` cache or writes
+    # an object's attributes behind its back
+    for path in sorted(Path(lattice_module.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            names = {getattr(node, attr, None) for attr in ("id", "attr", "name", "arg", "value")}
+            assert "_scaled" not in names, where
+            assert not _writes_into_dict(node), where
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,24 @@
 import json
+import re
+from fractions import Fraction as F
 
 import pytest
 
-from surfcalc import fixture_path, validate_surface
+from surfcalc import (
+    CurveRecord,
+    DivisorClass,
+    NonIntegralDivisor,
+    SurfaceModel,
+    fixture_path,
+    validate_surface,
+)
 from surfcalc.cli import main
-from surfcalc.surface_io import SurfaceFormatError, resolution_from_dict, surface_from_dict
+from surfcalc.surface_io import (
+    SurfaceFormatError,
+    resolution_from_dict,
+    save_surface,
+    surface_from_dict,
+)
 
 
 def blp2_data():
@@ -104,3 +118,23 @@ def test_resolution_field_types_are_enforced(case, tmp_path, capsys):
 def test_mumford_inline_input_exits_2(argv, capsys):
     assert main(["mumford", *argv, "--meet", "D", "D", "--base", "0"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("canonical", DivisorClass([F(-5, 2), -1]), "canonical class (-5/2, -1)"),
+    ("curve", DivisorClass([0, F(1, 2)]), "class of curve 'E' (0, 1/2)"),
+], ids=["canonical", "curve"])
+def test_save_surface_refuses_to_truncate(tmp_path, field, value, named):
+    # int() used to write -5/2 as -2 and 1/2 as 0: another surface
+    model = surface_from_dict(blp2_data())
+    if field == "canonical":
+        model = SurfaceModel(model.name, model.lattice, value, model.chi_O, model.curves)
+    else:
+        first = model.curves[0]
+        curve = CurveRecord(first.name, value, first.point_mults, first.genus)
+        model = SurfaceModel(model.name, model.lattice, model.canonical, model.chi_O,
+                             (curve, *model.curves[1:]))
+    path = tmp_path / "out.json"
+    with pytest.raises(NonIntegralDivisor, match=re.escape(f"cannot save {named}: ")):
+        save_surface(model, path)
+    assert not path.exists()
